@@ -22,7 +22,7 @@ from .evaluate import (
     sketch_svd_select,
     uniform_select,
 )
-from .generalized import GeneralizedState, generalized_init, generalized_select
+from .generalized import generalized_init, generalized_select
 from .greedy import (
     SelectionResult,
     SelectionState,
@@ -33,14 +33,11 @@ from .greedy import (
 from .linalg import (
     DegenerateBasisError,
     SvdResult,
-    approx_svd_from_columns,
     as_matrix,
-    embed_columns,
     frobenius_sq,
     orthonormal_basis,
     project_onto_columns,
     randomized_svd,
-    rank_k_column_approx,
     reconstruction_error,
 )
 from .matrixio import MatrixFormatError, load_matrix, save_matrix
@@ -68,7 +65,6 @@ __all__ = [
     "relative_accuracy",
     "sketch_svd_select",
     "uniform_select",
-    "GeneralizedState",
     "generalized_init",
     "generalized_select",
     "SelectionResult",
@@ -78,14 +74,11 @@ __all__ = [
     "select_next",
     "DegenerateBasisError",
     "SvdResult",
-    "approx_svd_from_columns",
     "as_matrix",
-    "embed_columns",
     "frobenius_sq",
     "orthonormal_basis",
     "project_onto_columns",
     "randomized_svd",
-    "rank_k_column_approx",
     "reconstruction_error",
     "MatrixFormatError",
     "load_matrix",

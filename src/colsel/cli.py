@@ -200,7 +200,6 @@ def _run(args) -> int:
             budget=args.l,
             sketch=spec,
             assignment=args.assignment,
-            seed=args.seed,
         )
         report = distributed_select(a, config, threads=args.threads)
         _write_lines([str(i) for i in report.selected], args.output)
@@ -278,7 +277,6 @@ def _run_baseline(args, a) -> list[int]:
         budget=args.l,
         sketch=None,
         assignment=args.assignment,
-        seed=args.seed,
     )
     return naive_distributed_baseline(a, config)
 

@@ -49,7 +49,6 @@ class DistributedConfig:
     sketch: SketchSpec | None
     assignment: str = "contiguous"
     per_partition_budget: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.partitions < 1:
@@ -221,14 +220,14 @@ def distributed_select(
     """
     if config.sketch is None:
         raise ValueError("distributed selection requires a sketch spec")
+    if threads is not None and threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
     l_b = config.resolved_partition_budget()
     t0 = time.perf_counter()
     parts = partition_columns(a, config.partitions, config.assignment)
     b = sketch_partitioned([(p.matrix, p.global_indices) for p in parts], config.sketch)
     t_sketch = time.perf_counter()
 
-    if threads is not None and threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
     if threads == 1 or len(parts) == 1:
         map_results = [map_phase(p, b, l_b) for p in parts]
     else:

@@ -1,111 +1,20 @@
 """Greedy selection of source columns that best reconstruct a target matrix.
 
-Same recursions as the plain greedy module, extended with a second history
-of cross factors so the criterion tracks the residual of the target rather
-than of the source.  With target == source it reduces exactly to the plain
-greedy selection.
+The recursion is owned by :mod:`colsel.greedy`, which runs it against a
+separate target when one is given; this module only names that entry
+point.  With target == source the selection equals plain greedy selection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .greedy import DEACTIVATION_TOLERANCE, ExhaustedError, SelectionResult
-from .linalg import frobenius_sq
+from .greedy import SelectionResult, _select, init_state, select_next
 
-__all__ = ["GeneralizedState", "generalized_init", "generalized_select"]
+__all__ = ["generalized_init", "generalized_select"]
 
-# When the best remaining score falls this far below the target's total
-# energy the target is considered fully reconstructed and selection stops.
-EARLY_STOP_TOLERANCE = 1e-12
-
-
-@dataclass
-class GeneralizedState:
-    """Selection state plus the cross-factor history against the target.
-
-    ``cross_factors`` mirrors ``gram_factors`` but lives in the target's
-    column space: its vectors accumulate the explained part of the
-    target-vs-source residual correlations.
-    """
-
-    score_num: np.ndarray
-    score_den: np.ndarray
-    den_init: np.ndarray
-    active: np.ndarray
-    gram_factors: list[np.ndarray] = field(default_factory=list)
-    cross_factors: list[np.ndarray] = field(default_factory=list)
-    selected: list[int] = field(default_factory=list)
-    gains: list[float] = field(default_factory=list)
-
-    def deactivate_spent(self) -> None:
-        self.active &= self.score_den > DEACTIVATION_TOLERANCE * self.den_init
-
-
-def _cross_column_norms_sq(a, b, block: int = 128) -> np.ndarray:
-    n = a.shape[1]
-    out = np.empty(n)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        cols = b.T @ a[:, start:stop]
-        out[start:stop] = np.sum(cols * cols, axis=0)
-    return out
-
-
-def generalized_init(a: np.ndarray, b: np.ndarray) -> GeneralizedState:
-    """Initial scores against the target: correlation energy over column norm."""
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"row mismatch: source has {a.shape[0]} rows, target has {b.shape[0]}"
-        )
-    den = np.sum(a * a, axis=0)
-    if not np.any(den > 0.0):
-        raise ValueError("source matrix has no nonzero columns; nothing to select")
-    num = _cross_column_norms_sq(a, b)
-    active = den > DEACTIVATION_TOLERANCE * den.max()
-    return GeneralizedState(
-        score_num=num, score_den=den, den_init=den.copy(), active=active
-    )
-
-
-def _select_next_generalized(state: GeneralizedState, a, b) -> int:
-    if not np.any(state.active):
-        raise ExhaustedError("no active candidate columns remain")
-    ratio = np.full(state.score_num.shape, -np.inf)
-    np.divide(state.score_num, state.score_den, out=ratio, where=state.active)
-    p = int(np.argmax(ratio))
-
-    gram_col = a.T @ a[:, p]
-    for w in state.gram_factors:
-        gram_col = gram_col - w[p] * w
-    pivot = gram_col[p]
-    if pivot <= DEACTIVATION_TOLERANCE * state.den_init[p]:
-        raise ValueError(
-            f"column {p} is numerically dependent on the current selection"
-        )
-    cross_col = b.T @ a[:, p]
-    for w, v in zip(state.gram_factors, state.cross_factors):
-        cross_col = cross_col - w[p] * v
-    scale = np.sqrt(pivot)
-    w_new = gram_col / scale
-    v_new = cross_col / scale
-
-    state.gains.append(float(state.score_num[p] / state.score_den[p]))
-
-    corr = a.T @ (b @ v_new)
-    for w, v in zip(state.gram_factors, state.cross_factors):
-        corr = corr - (v @ v_new) * w
-    state.score_num = state.score_num - 2.0 * w_new * corr + (v_new @ v_new) * (w_new * w_new)
-    state.score_den = state.score_den - w_new * w_new
-
-    state.gram_factors.append(w_new)
-    state.cross_factors.append(v_new)
-    state.selected.append(p)
-    state.active[p] = False
-    state.deactivate_spent()
-    return p
+generalized_init = init_state
+_select_next_generalized = select_next
 
 
 def generalized_select(a: np.ndarray, b: np.ndarray, l: int) -> SelectionResult:
@@ -114,26 +23,4 @@ def generalized_select(a: np.ndarray, b: np.ndarray, l: int) -> SelectionResult:
     Stops early (with a flag) once the target is reconstructed to round-off,
     rather than spending the remaining budget on zero-gain columns.
     """
-    n = a.shape[1]
-    if l < 1 or l > n:
-        raise ValueError(f"budget l must satisfy 1 <= l <= {n}, got {l}")
-    state = generalized_init(a, b)
-    target_energy = frobenius_sq(b)
-    exhausted = False
-    reconstructed = False
-    for _ in range(l):
-        if not np.any(state.active):
-            exhausted = True
-            break
-        num_max = float(np.max(state.score_num[state.active]))
-        den_max = float(np.max(state.score_den[state.active]))
-        if num_max <= EARLY_STOP_TOLERANCE * target_energy * den_max:
-            reconstructed = True
-            break
-        _select_next_generalized(state, a, b)
-    return SelectionResult(
-        indices=list(state.selected),
-        gains=list(state.gains),
-        exhausted=exhausted,
-        target_reconstructed=reconstructed,
-    )
+    return _select(a, b, l)

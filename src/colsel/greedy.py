@@ -4,6 +4,11 @@ Selects columns one at a time, each step taking the candidate with the
 largest error decrease.  The per-candidate scores are maintained by
 rank-one recursions, so neither the residual matrix nor its inner-product
 matrix is ever materialized.
+
+This module owns the recursion for both plain and generalized selection.
+Generalized selection scores the source columns against the residual of a
+separate target; plain greedy is the case where the source is its own
+target, and then the Gram factors double as the cross factors.
 """
 
 from __future__ import annotations
@@ -12,12 +17,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import frobenius_sq
+
 __all__ = ["SelectionState", "SelectionResult", "init_state", "select_next", "greedy_select"]
 
 # Candidate columns whose residual squared norm falls below this fraction
 # of their original squared norm are dropped from consideration; selecting
 # them would divide by a vanishing denominator.
 DEACTIVATION_TOLERANCE = 1e-12
+
+# When the best remaining score falls this far below the target's total
+# energy the target is considered fully reconstructed and selection stops.
+EARLY_STOP_TOLERANCE = 1e-12
 
 
 class ExhaustedError(RuntimeError):
@@ -32,7 +43,9 @@ class SelectionState:
     obtained by selecting column ``i`` next.  ``gram_factors`` holds one
     vector per past selection; their outer products sum to the explained
     part of the residual inner-product matrix, which is all the recursions
-    need to stay consistent without storing residuals.
+    need to stay consistent without storing residuals.  ``cross_factors``
+    mirrors ``gram_factors`` in a separate target's column space, and is
+    ``None`` when the source is its own target.
     """
 
     score_num: np.ndarray
@@ -40,6 +53,7 @@ class SelectionState:
     den_init: np.ndarray
     active: np.ndarray
     gram_factors: list[np.ndarray] = field(default_factory=list)
+    cross_factors: list[np.ndarray] | None = None
     selected: list[int] = field(default_factory=list)
     gains: list[float] = field(default_factory=list)
 
@@ -47,38 +61,52 @@ class SelectionState:
         self.active &= self.score_den > DEACTIVATION_TOLERANCE * self.den_init
 
 
-def _gram_column_norms_sq(a: np.ndarray, block: int = 128) -> np.ndarray:
-    """Squared norms of the columns of ``a.T @ a``, computed block-wise.
+def _column_norms_sq(a: np.ndarray, b: np.ndarray, block: int = 128) -> np.ndarray:
+    """Squared norms of the columns of ``b.T @ a``, computed block-wise.
 
-    Avoids holding the full n-by-n product for wide matrices.
+    Avoids holding the full product for wide matrices.
     """
     n = a.shape[1]
     out = np.empty(n)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        cols = a.T @ a[:, start:stop]
+        cols = b.T @ a[:, start:stop]
         out[start:stop] = np.sum(cols * cols, axis=0)
     return out
 
 
-def init_state(a: np.ndarray) -> SelectionState:
-    """Initial scores: num from the Gram column norms, den from column norms."""
+def init_state(a: np.ndarray, b: np.ndarray | None = None) -> SelectionState:
+    """Initial scores: num from the correlations with the target, den from column norms.
+
+    Without a target ``b`` the source ``a`` is its own target.
+    """
+    if b is not None and a.shape[0] != b.shape[0]:
+        raise ValueError(
+            f"row mismatch: source has {a.shape[0]} rows, target has {b.shape[0]}"
+        )
     den = np.sum(a * a, axis=0)
     if not np.any(den > 0.0):
         raise ValueError("matrix has no nonzero columns; nothing to select")
-    num = _gram_column_norms_sq(a)
+    num = _column_norms_sq(a, a if b is None else b)
     active = den > DEACTIVATION_TOLERANCE * den.max()
     return SelectionState(
-        score_num=num, score_den=den, den_init=den.copy(), active=active
+        score_num=num,
+        score_den=den,
+        den_init=den.copy(),
+        active=active,
+        cross_factors=None if b is None else [],
     )
 
 
-def select_next(state: SelectionState, a: np.ndarray) -> int:
+def select_next(state: SelectionState, a: np.ndarray, b: np.ndarray | None = None) -> int:
     """Select the best remaining column and update all candidate scores.
 
+    ``b`` must be the target the state was initialized with, if any.
     Returns the selected column index.  Ties are broken toward the
     smallest index (argmax returns the first maximum).
     """
+    if (b is None) != (state.cross_factors is None):
+        raise ValueError("select_next needs the same target that init_state was given")
     if not np.any(state.active):
         raise ExhaustedError("no active candidate columns remain")
     ratio = np.full(state.score_num.shape, -np.inf)
@@ -93,17 +121,28 @@ def select_next(state: SelectionState, a: np.ndarray) -> int:
         raise ValueError(
             f"column {p} is numerically dependent on the current selection"
         )
-    w_new = gram_col / np.sqrt(pivot)
+    scale = np.sqrt(pivot)
+    w_new = gram_col / scale
+    if b is None:
+        target, cross_factors, v_new = a, state.gram_factors, w_new
+    else:
+        target, cross_factors = b, state.cross_factors
+        cross_col = b.T @ a[:, p]
+        for w, v in zip(state.gram_factors, cross_factors):
+            cross_col = cross_col - w[p] * v
+        v_new = cross_col / scale
 
     state.gains.append(float(state.score_num[p] / state.score_den[p]))
 
-    corr = a.T @ (a @ w_new)
-    for w in state.gram_factors:
-        corr = corr - (w @ w_new) * w
-    state.score_num = state.score_num - 2.0 * w_new * corr + (w_new @ w_new) * (w_new * w_new)
+    corr = a.T @ (target @ v_new)
+    for w, v in zip(state.gram_factors, cross_factors):
+        corr = corr - (v @ v_new) * w
+    state.score_num = state.score_num - 2.0 * w_new * corr + (v_new @ v_new) * (w_new * w_new)
     state.score_den = state.score_den - w_new * w_new
 
     state.gram_factors.append(w_new)
+    if b is not None:
+        state.cross_factors.append(v_new)
     state.selected.append(p)
     state.active[p] = False
     state.deactivate_spent()
@@ -120,22 +159,44 @@ class SelectionResult:
     target_reconstructed: bool = False
 
 
+def _select(a: np.ndarray, b: np.ndarray | None, l: int) -> SelectionResult:
+    """The selection loop shared by plain and generalized selection.
+
+    Stops when the candidates run out, and, only with a separate target,
+    once that target is reconstructed to round-off.  Plain greedy stops only
+    on exhaustion: the energy test would end it early on badly scaled
+    inputs, returning fewer than ``l`` picks with neither flag set.
+    """
+    n = a.shape[1]
+    if l < 1 or l > n:
+        raise ValueError(f"budget l must satisfy 1 <= l <= {n}, got {l}")
+    state = init_state(a, b)
+    target_energy = None if b is None else frobenius_sq(b)
+    exhausted = False
+    reconstructed = False
+    for _ in range(l):
+        if not np.any(state.active):
+            exhausted = True
+            break
+        if target_energy is not None:
+            num_max = float(np.max(state.score_num[state.active]))
+            den_max = float(np.max(state.score_den[state.active]))
+            if num_max <= EARLY_STOP_TOLERANCE * target_energy * den_max:
+                reconstructed = True
+                break
+        select_next(state, a, b)
+    return SelectionResult(
+        indices=list(state.selected),
+        gains=list(state.gains),
+        exhausted=exhausted,
+        target_reconstructed=reconstructed,
+    )
+
+
 def greedy_select(a: np.ndarray, l: int) -> SelectionResult:
     """Greedily select ``l`` columns of ``a`` minimizing reconstruction error.
 
     If the matrix runs out of independent columns early, the result holds
     fewer indices and the exhausted flag is set; indices are never padded.
     """
-    n = a.shape[1]
-    if l < 1 or l > n:
-        raise ValueError(f"budget l must satisfy 1 <= l <= {n}, got {l}")
-    state = init_state(a)
-    exhausted = False
-    for _ in range(l):
-        if not np.any(state.active):
-            exhausted = True
-            break
-        select_next(state, a)
-    return SelectionResult(
-        indices=list(state.selected), gains=list(state.gains), exhausted=exhausted
-    )
+    return _select(a, None, l)

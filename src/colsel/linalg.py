@@ -21,9 +21,6 @@ __all__ = [
     "orthonormal_basis",
     "project_onto_columns",
     "reconstruction_error",
-    "embed_columns",
-    "rank_k_column_approx",
-    "approx_svd_from_columns",
     "randomized_svd",
 ]
 
@@ -128,28 +125,6 @@ def reconstruction_error(a: np.ndarray, columns: Sequence[int]) -> float:
     return frobenius_sq(residual)
 
 
-def embed_columns(a: np.ndarray, columns: Sequence[int]) -> np.ndarray:
-    """Coordinates of every column of ``a`` in the selected columns' subspace."""
-    q = orthonormal_basis(a, columns)
-    return q.T @ a
-
-
-def rank_k_column_approx(a: np.ndarray, columns: Sequence[int], k: int) -> np.ndarray:
-    """Best rank-``k`` approximation of ``a`` within the selected columns' span.
-
-    Three steps: orthonormal basis, embedding, truncated SVD of the
-    embedded columns mapped back through the basis.
-    """
-    cols = check_column_set(columns, a.shape[1])
-    if k < 1 or k > len(cols):
-        raise ValueError(f"rank k must satisfy 1 <= k <= {len(cols)}, got {k}")
-    q = orthonormal_basis(a, cols)
-    w = q.T @ a
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    w_k = (u[:, :k] * s[:k]) @ vt[:k]
-    return q @ w_k
-
-
 @dataclass(frozen=True)
 class SvdResult:
     """Truncated singular value decomposition, factors with orthonormal columns."""
@@ -157,23 +132,6 @@ class SvdResult:
     u: np.ndarray
     singular_values: np.ndarray
     v: np.ndarray
-
-
-def approx_svd_from_columns(
-    a: np.ndarray, columns: Sequence[int], k: int
-) -> SvdResult:
-    """Approximate the leading ``k`` singular triplets of ``a`` from selected columns.
-
-    The left vectors come from rotating the embedded columns' singular
-    vectors back through the orthonormal basis.
-    """
-    cols = check_column_set(columns, a.shape[1])
-    if k < 1 or k > len(cols):
-        raise ValueError(f"rank k must satisfy 1 <= k <= {len(cols)}, got {k}")
-    q = orthonormal_basis(a, cols)
-    w = q.T @ a
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    return SvdResult(u=q @ u[:, :k], singular_values=s[:k].copy(), v=vt[:k].T.copy())
 
 
 def randomized_svd(

@@ -229,6 +229,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="requires a sketch"):
         distributed_select(random_matrix(4, 6, seed=0),
                            DistributedConfig(partitions=2, budget=2, sketch=None))
+    with pytest.raises(ValueError, match="thread count"):
+        distributed_select(random_matrix(4, 6, seed=0), cfg, threads=0)
 
 
 def test_naive_baseline_single_partition_is_greedy():

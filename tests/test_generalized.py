@@ -11,6 +11,7 @@ from colsel import (
     init_state,
     naive_generalized_oracle,
     project_onto_columns,
+    select_next,
 )
 from instances import random_matrix
 
@@ -41,6 +42,10 @@ def test_init_with_self_target_equals_plain_init():
     assert np.array_equal(gen.score_num, plain.score_num)
     assert np.array_equal(gen.score_den, plain.score_den)
     assert np.array_equal(gen.active, plain.active)
+    with pytest.raises(ValueError, match="same target"):
+        select_next(gen, a)
+    with pytest.raises(ValueError, match="same target"):
+        select_next(plain, a, a)
 
 
 def test_init_zero_target_zeroes_scores():
@@ -68,6 +73,7 @@ def test_reduction_to_plain_greedy_is_exact():
         gen = generalized_select(a, a, 6)
         plain = greedy_select(a, 6)
         assert gen.indices == plain.indices
+        assert gen.gains == plain.gains
 
 
 def test_single_column_target_selects_that_column():

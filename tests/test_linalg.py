@@ -4,14 +4,11 @@ from numpy.testing import assert_allclose, assert_array_almost_equal
 
 from colsel import (
     DegenerateBasisError,
-    approx_svd_from_columns,
     as_matrix,
-    embed_columns,
     frobenius_sq,
     orthonormal_basis,
     project_onto_columns,
     randomized_svd,
-    rank_k_column_approx,
     reconstruction_error,
 )
 from instances import random_matrix
@@ -122,82 +119,6 @@ def test_orthonormal_basis_spans_selection():
     q = orthonormal_basis(a, [0, 1, 2])
     assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
     assert np.linalg.norm(q @ (q.T @ a) - a) <= 1e-9 * np.linalg.norm(a)
-
-
-def test_embed_columns_identity_rows():
-    eye = as_matrix(np.eye(3))
-    w = embed_columns(eye, [0, 1])
-    assert_allclose(np.abs(w), np.eye(3)[:2], atol=1e-12)
-
-
-def test_embed_columns_full_span_isometry():
-    a = random_matrix(6, 4, seed=2)
-    w = embed_columns(a, [0, 1, 2, 3])
-    assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(a), rel=1e-10)
-
-
-def test_embed_columns_pythagoras_against_criterion():
-    a = random_matrix(7, 5, seed=13)
-    cols = [0, 3]
-    w = embed_columns(a, cols)
-    gap = frobenius_sq(a) - frobenius_sq(w)
-    assert gap == pytest.approx(reconstruction_error(a, cols), rel=1e-9)
-
-
-def test_rank_k_column_approx_no_truncation():
-    a = random_matrix(8, 6, seed=4)
-    cols = [0, 2, 5]
-    full = rank_k_column_approx(a, cols, k=3)
-    projected = project_onto_columns(a, cols, a)
-    assert np.linalg.norm(full - projected) <= 1e-9 * np.linalg.norm(projected)
-
-
-def test_rank_k_column_approx_invalid_rank():
-    a = random_matrix(5, 4, seed=1)
-    with pytest.raises(ValueError):
-        rank_k_column_approx(a, [0, 1], k=0)
-    with pytest.raises(ValueError):
-        rank_k_column_approx(a, [0, 1], k=3)
-
-
-def test_rank_k_column_approx_sandwich():
-    a = random_matrix(9, 6, seed=17)
-    cols = [0, 1, 4]
-    err2 = frobenius_sq(a - rank_k_column_approx(a, cols, k=2))
-    err3 = frobenius_sq(a - rank_k_column_approx(a, cols, k=3))
-    svals = np.linalg.svd(a, compute_uv=False)
-    best2 = float(np.sum(svals[2:] ** 2))
-    tol = 1e-9 * frobenius_sq(a)
-    assert err2 >= best2 - tol
-    assert err3 <= err2 + tol
-
-
-def test_approx_svd_exact_when_columns_span():
-    a = random_matrix(7, 4, seed=9)
-    res = approx_svd_from_columns(a, [0, 1, 2, 3], k=4)
-    exact = np.linalg.svd(a, compute_uv=False)[:4]
-    assert_allclose(res.singular_values, exact, rtol=1e-8)
-
-
-def test_approx_svd_consistent_with_rank_k_approx():
-    a = random_matrix(8, 6, seed=23)
-    cols = [0, 2, 3]
-    res = approx_svd_from_columns(a, cols, k=2)
-    recomposed = (res.u * res.singular_values) @ res.v.T
-    direct = rank_k_column_approx(a, cols, k=2)
-    assert np.linalg.norm(recomposed - direct) <= 1e-9 * np.linalg.norm(direct)
-    assert_allclose(res.u.T @ res.u, np.eye(2), atol=1e-8)
-    assert_allclose(res.v.T @ res.v, np.eye(2), atol=1e-8)
-
-
-def test_approx_svd_never_exceeds_true_spectrum():
-    from colsel import greedy_select
-
-    a = random_matrix(12, 8, seed=31)
-    cols = greedy_select(a, 4).indices
-    res = approx_svd_from_columns(a, cols, k=2)
-    top = np.linalg.svd(a, compute_uv=False)[0]
-    assert res.singular_values[0] <= top + 1e-8
 
 
 def test_randomized_svd_diagonal_spectrum():
