@@ -9,6 +9,14 @@ This module owns the recursion for both plain and generalized selection.
 Generalized selection scores the source columns against the residual of a
 separate target; plain greedy is the case where the source is its own
 target, and then the Gram factors double as the cross factors.
+
+The initial scores are the squared column norms of ``B^T A`` (``A^T A``
+for plain greedy).  They come from ``B^T A`` directly or from the Gram
+matrix ``B B^T``, whichever takes fewer flops, so for plain greedy on an
+m x n matrix they cost O(m n min(m, n)).  The Gram form can lose a score
+that is tiny next to ``||B||_F^2 ||a_i||^2``, as on badly scaled inputs;
+every score whose rounding bound is not small against its value is
+recomputed in the direct form.
 """
 
 from __future__ import annotations
@@ -25,6 +33,13 @@ __all__ = ["SelectionState", "SelectionResult", "init_state", "select_next", "gr
 # of their original squared norm are dropped from consideration; selecting
 # them would divide by a vanishing denominator.
 DEACTIVATION_TOLERANCE = 1e-12
+
+# Column block width of the block-wise initial-score products.
+_BLOCK = 128
+
+# A Gram-form initial score is recomputed in the direct form when its
+# a-posteriori rounding bound exceeds this fraction of the computed value.
+_GRAM_TOLERANCE = 1e-8
 
 # When the best remaining score falls this far below the target's total
 # energy the target is considered fully reconstructed and selection stops.
@@ -61,17 +76,31 @@ class SelectionState:
         self.active &= self.score_den > DEACTIVATION_TOLERANCE * self.den_init
 
 
-def _column_norms_sq(a: np.ndarray, b: np.ndarray, block: int = 128) -> np.ndarray:
+def _column_norms_sq(a: np.ndarray, b: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Squared norms of the columns of ``b.T @ a``, computed block-wise.
 
-    Avoids holding the full product for wide matrices.
+    ``den`` holds the squared column norms of ``a``.  With ``a`` m x n and
+    ``b`` m x c, the direct form ``b.T @ a`` costs 2mnc flops and the Gram
+    form ``a_i . (b b.T) a_i`` costs 2m^2(c + n); the cheaper one is used.
+    The Gram form can lose a score that is tiny next to
+    ``||b||_F^2 ||a_i||^2``; such scores are recomputed in the direct form.
     """
-    n = a.shape[1]
+    m, n = a.shape
+    c = b.shape[1]
     out = np.empty(n)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        cols = b.T @ a[:, start:stop]
-        out[start:stop] = np.sum(cols * cols, axis=0)
+    if c * n > m * (c + n):
+        gram = b @ b.T
+        for start in range(0, n, _BLOCK):
+            cols = a[:, start:start + _BLOCK]
+            out[start:start + _BLOCK] = np.sum(cols * (gram @ cols), axis=0)
+        bound = np.finfo(a.dtype).eps * m * np.trace(gram) * den
+        redo = np.flatnonzero(bound > _GRAM_TOLERANCE * out)
+    else:
+        redo = np.arange(n)
+    for start in range(0, redo.size, _BLOCK):
+        idx = redo[start:start + _BLOCK]
+        prod = b.T @ a[:, idx]
+        out[idx] = np.sum(prod * prod, axis=0)
     return out
 
 
@@ -87,8 +116,8 @@ def init_state(a: np.ndarray, b: np.ndarray | None = None) -> SelectionState:
     den = np.sum(a * a, axis=0)
     if not np.any(den > 0.0):
         raise ValueError("matrix has no nonzero columns; nothing to select")
-    num = _column_norms_sq(a, a if b is None else b)
-    active = den > DEACTIVATION_TOLERANCE * den.max()
+    num = _column_norms_sq(a, a if b is None else b, den)
+    active = den > 0.0
     return SelectionState(
         score_num=num,
         score_den=den,

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import colsel
 from colsel import relative_accuracy, save_matrix
 from colsel.cli import main
 from instances import planted_lowrank, random_matrix
@@ -197,9 +199,10 @@ def test_degeneracy_exit_4(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path, eye3_csv):
+    # `-m` imports from the working directory: run where this colsel lives.
     proc = subprocess.run(
         [sys.executable, "-m", "colsel", "select", "--input", eye3_csv, "--l", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=Path(colsel.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert proc.stdout == "0\n1\n"

@@ -62,6 +62,17 @@ def test_init_matches_direct_product():
     assert_allclose(state.score_num, np.sum(cross * cross, axis=0), rtol=1e-10)
 
 
+def test_wide_target_gram_branch_matches_direct_and_oracle():
+    # c * n > m * (c + n): the initial scores take the Gram form b @ b.T.
+    a = random_matrix(10, 40, seed=33)
+    b = random_matrix(10, 30, seed=34)
+    num, den = direct_generalized_scores(a, b, [])
+    state = generalized_init(a, b)
+    assert_allclose(state.score_num, num, rtol=1e-10)
+    assert_allclose(state.score_den, den, rtol=1e-10)
+    assert generalized_select(a, b, 5).indices == naive_generalized_oracle(a, b, 5).indices
+
+
 def test_init_rejects_row_mismatch():
     with pytest.raises(ValueError, match="row mismatch"):
         generalized_init(random_matrix(4, 3, seed=0), random_matrix(5, 2, seed=1))

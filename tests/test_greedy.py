@@ -27,6 +27,23 @@ def direct_scores(a, selected):
     return np.sum(gram * gram, axis=0), np.diag(gram).copy()
 
 
+def badly_scaled_wide(m=20, n=64, k=4, seed=8):
+    """``k`` independent columns of norm 1e6 to 2e6, then ``n - k`` columns
+    of norm 1e-3 orthogonal to them.
+
+    Wide enough (n > 2m) that the initial scores take the Gram form, which
+    alone gets the small columns' scores wrong by orders of magnitude.
+    """
+    rng = np.random.default_rng(seed)
+    big = rng.standard_normal((m, k))
+    q, _ = np.linalg.qr(big)
+    small = rng.standard_normal((m, n - k))
+    small -= q @ (q.T @ small)
+    small *= 1e-3 / np.linalg.norm(small, axis=0)
+    big *= 1e6 * np.linspace(1.0, 2.0, k) / np.linalg.norm(big, axis=0)
+    return as_matrix(np.hstack([big, small]))
+
+
 def test_init_state_identity():
     state = init_state(as_matrix(np.eye(2)))
     assert_allclose(state.score_num, [1.0, 1.0])
@@ -47,6 +64,16 @@ def test_init_state_matches_direct_gram():
     gram = a.T @ a
     assert_allclose(state.score_num, np.sum(gram * gram, axis=0), rtol=1e-10)
     assert_allclose(state.score_den, np.diag(gram), rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "a", [random_matrix(10, 45, seed=16), badly_scaled_wide()], ids=["wide", "badly-scaled-wide"]
+)
+def test_init_state_wide_matches_per_column_norms(a):
+    state = init_state(a)
+    num = [np.sum((a.T @ a[:, i]) ** 2) for i in range(a.shape[1])]
+    assert_allclose(state.score_num, num, rtol=1e-12)
+    assert_allclose(state.score_den, np.sum(a * a, axis=0), rtol=1e-12)
 
 
 def test_init_state_rejects_zero_matrix():
@@ -111,6 +138,30 @@ def test_greedy_select_matches_oracle():
     assert reconstruction_error(a, res.indices) == pytest.approx(
         reconstruction_error(a, oracle.indices), rel=1e-9
     )
+
+
+@pytest.mark.parametrize("m, n", [(10, 45), (6, 60)])
+def test_greedy_select_wide_matches_oracle(m, n):
+    a = random_matrix(m, n, seed=m + n)
+    assert greedy_select(a, 5).indices == naive_greedy_oracle(a, 5).indices
+
+
+def test_greedy_select_badly_scaled_wide():
+    # The large columns come first; the small ones, orthogonal to them, then
+    # follow in the order greedy picks them on their own.
+    k = 4
+    a = badly_scaled_wide(k=k)
+    res = greedy_select(a, k + 3)
+    assert res.indices[:k] == naive_greedy_oracle(a, k).indices
+    small = greedy_select(as_matrix(a[:, k:]), 3)
+    assert res.indices[k:] == [k + i for i in small.indices]
+    assert not res.exhausted
+
+
+def test_greedy_select_keeps_small_independent_columns():
+    res = greedy_select(as_matrix(np.diag([1e6, 1e-3, 1.0])), 3)
+    assert res.indices == [0, 2, 1]
+    assert not res.exhausted
 
 
 @pytest.mark.parametrize("seed", range(8))
