@@ -10,13 +10,22 @@ Generalized selection scores the source columns against the residual of a
 separate target; plain greedy is the case where the source is its own
 target, and then the Gram factors double as the cross factors.
 
-The initial scores are the squared column norms of ``B^T A`` (``A^T A``
-for plain greedy).  They come from ``B^T A`` directly or from the Gram
-matrix ``B B^T``, whichever takes fewer flops, so for plain greedy on an
-m x n matrix they cost O(m n min(m, n)).  The Gram form can lose a score
+The initial scores are the squared column norms of ``C = B^T A``
+(``A^T A`` for plain greedy).  They come from ``C`` directly or from the
+Gram matrix ``B B^T``, whichever takes fewer flops, so for plain greedy on
+an m x n matrix they cost O(m n min(m, n)).  The Gram form can lose a score
 that is tiny next to ``||B||_F^2 ||a_i||^2``, as on badly scaled inputs;
 every score whose rounding bound is not small against its value is
 recomputed in the direct form.
+
+With a c-column target (c = n for plain greedy), the step after k picks
+costs O(k (n + c)) flops for the stored factors, which are stacked so that
+each of their updates is one matrix-vector product.  When the direct form
+kept ``C``, the correlations with the new factor cost 2cn flops, and plain
+greedy reads the picked column's Gram column from ``C``, so its step never
+touches A; a separate target still pays 2mn for that Gram column.  Without
+``C`` the step makes three matrix-vector passes over A and B, O(m (n + c))
+flops.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ __all__ = ["SelectionState", "SelectionResult", "init_state", "select_next", "gr
 # them would divide by a vanishing denominator.
 DEACTIVATION_TOLERANCE = 1e-12
 
-# Column block width of the block-wise initial-score products.
+# Column block width of the block-wise Gram-form initial scores.
 _BLOCK = 128
 
 # A Gram-form initial score is recomputed in the direct form when its
@@ -55,53 +64,75 @@ class SelectionState:
     """Mutable per-run state of the greedy selection.
 
     ``score_num[i] / score_den[i]`` is the decrease in reconstruction error
-    obtained by selecting column ``i`` next.  ``gram_factors`` holds one
-    vector per past selection; their outer products sum to the explained
-    part of the residual inner-product matrix, which is all the recursions
-    need to stay consistent without storing residuals.  ``cross_factors``
-    mirrors ``gram_factors`` in a separate target's column space, and is
-    ``None`` when the source is its own target.
+    obtained by selecting column ``i`` next.  ``gram_factors`` is a k x n
+    array with one row per past selection; the outer products of its rows
+    sum to the explained part of the residual inner-product matrix, which is
+    all the recursions need to stay consistent without storing residuals.
+    ``cross_factors`` (k x c) mirrors it in a separate target's column
+    space, and is ``None`` when the source is its own target.  Both are
+    views of row buffers that double when full.
+
+    ``bta`` is ``C = B^T A`` (``A^T A`` for plain greedy) when the initial
+    scores formed it, else ``None``; their cost rule forms it only when its
+    c n entries number at most m (c + n), as many as A and B hold together.
+    With ``C`` a step after k picks costs 2cn + O(k (n + c)) flops, plus 2mn
+    for the picked column's Gram column with a separate target; without it,
+    O((m + k) (n + c)).
     """
 
     score_num: np.ndarray
     score_den: np.ndarray
     den_init: np.ndarray
     active: np.ndarray
-    gram_factors: list[np.ndarray] = field(default_factory=list)
-    cross_factors: list[np.ndarray] | None = None
+    bta: np.ndarray | None
+    gram_buffer: np.ndarray
+    cross_buffer: np.ndarray | None
     selected: list[int] = field(default_factory=list)
     gains: list[float] = field(default_factory=list)
+
+    @property
+    def gram_factors(self) -> np.ndarray:
+        return self.gram_buffer[: len(self.selected)]
+
+    @property
+    def cross_factors(self) -> np.ndarray | None:
+        if self.cross_buffer is None:
+            return None
+        return self.cross_buffer[: len(self.selected)]
 
     def deactivate_spent(self) -> None:
         self.active &= self.score_den > DEACTIVATION_TOLERANCE * self.den_init
 
 
-def _column_norms_sq(a: np.ndarray, b: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Squared norms of the columns of ``b.T @ a``, computed block-wise.
+def _column_norms_sq(
+    a: np.ndarray, b: np.ndarray, den: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Squared norms of the columns of ``b.T @ a``, and ``b.T @ a`` if formed.
 
     ``den`` holds the squared column norms of ``a``.  With ``a`` m x n and
     ``b`` m x c, the direct form ``b.T @ a`` costs 2mnc flops and the Gram
     form ``a_i . (b b.T) a_i`` costs 2m^2(c + n); the cheaper one is used.
-    The Gram form can lose a score that is tiny next to
-    ``||b||_F^2 ||a_i||^2``; such scores are recomputed in the direct form.
+    Only the direct form returns the product.  The Gram form can lose a
+    score that is tiny next to ``||b||_F^2 ||a_i||^2``; such scores are
+    recomputed in the direct form.
     """
     m, n = a.shape
     c = b.shape[1]
+    if c * n <= m * (c + n):
+        cross = b.T @ a
+        return np.einsum("ij,ij->j", cross, cross), cross
     out = np.empty(n)
-    if c * n > m * (c + n):
-        gram = b @ b.T
-        for start in range(0, n, _BLOCK):
-            cols = a[:, start:start + _BLOCK]
-            out[start:start + _BLOCK] = np.sum(cols * (gram @ cols), axis=0)
-        bound = np.finfo(a.dtype).eps * m * np.trace(gram) * den
-        redo = np.flatnonzero(bound > _GRAM_TOLERANCE * out)
-    else:
-        redo = np.arange(n)
+    gram = b @ b.T
+    for start in range(0, n, _BLOCK):
+        cols = a[:, start:start + _BLOCK]
+        out[start:start + _BLOCK] = np.sum(cols * (gram @ cols), axis=0)
+    bound = np.finfo(a.dtype).eps * m * np.trace(gram) * den
+    redo = np.flatnonzero(bound > _GRAM_TOLERANCE * out)
     for start in range(0, redo.size, _BLOCK):
         idx = redo[start:start + _BLOCK]
         prod = b.T @ a[:, idx]
         out[idx] = np.sum(prod * prod, axis=0)
-    return out
+    return out, None
 
 
 def init_state(a: np.ndarray, b: np.ndarray | None = None) -> SelectionState:
@@ -113,18 +144,29 @@ def init_state(a: np.ndarray, b: np.ndarray | None = None) -> SelectionState:
         raise ValueError(
             f"row mismatch: source has {a.shape[0]} rows, target has {b.shape[0]}"
         )
-    den = np.sum(a * a, axis=0)
+    den = np.einsum("ij,ij->j", a, a)
     if not np.any(den > 0.0):
         raise ValueError("matrix has no nonzero columns; nothing to select")
-    num = _column_norms_sq(a, a if b is None else b, den)
-    active = den > 0.0
+    num, bta = _column_norms_sq(a, a if b is None else b, den)
     return SelectionState(
         score_num=num,
         score_den=den,
         den_init=den.copy(),
-        active=active,
-        cross_factors=None if b is None else [],
+        active=den > 0.0,
+        bta=bta,
+        gram_buffer=np.empty((0, a.shape[1])),
+        cross_buffer=None if b is None else np.empty((0, b.shape[1])),
     )
+
+
+def _put_row(buffer: np.ndarray, k: int, row: np.ndarray) -> np.ndarray:
+    """Store ``row`` as row ``k`` of ``buffer``, doubling the buffer when full."""
+    if k == buffer.shape[0]:
+        grown = np.empty((max(1, 2 * k), buffer.shape[1]))
+        grown[:k] = buffer
+        buffer = grown
+    buffer[k] = row
+    return buffer
 
 
 def select_next(state: SelectionState, a: np.ndarray, b: np.ndarray | None = None) -> int:
@@ -132,46 +174,51 @@ def select_next(state: SelectionState, a: np.ndarray, b: np.ndarray | None = Non
 
     ``b`` must be the target the state was initialized with, if any.
     Returns the selected column index.  Ties are broken toward the
-    smallest index (argmax returns the first maximum).
+    smallest index (argmax returns the first maximum).  A candidate whose
+    recomputed pivot turns out to be negligible is deactivated and the
+    next best one is taken; :class:`ExhaustedError` is raised once no
+    active candidate remains.
     """
     if (b is None) != (state.cross_factors is None):
         raise ValueError("select_next needs the same target that init_state was given")
-    if not np.any(state.active):
-        raise ExhaustedError("no active candidate columns remain")
-    ratio = np.full(state.score_num.shape, -np.inf)
-    np.divide(state.score_num, state.score_den, out=ratio, where=state.active)
-    p = int(np.argmax(ratio))
-
-    gram_col = a.T @ a[:, p]
-    for w in state.gram_factors:
-        gram_col = gram_col - w[p] * w
-    pivot = gram_col[p]
-    if pivot <= DEACTIVATION_TOLERANCE * state.den_init[p]:
-        raise ValueError(
-            f"column {p} is numerically dependent on the current selection"
-        )
+    w = state.gram_factors
+    v = w if b is None else state.cross_factors
+    bta = state.bta
+    # Gram columns are read from C only when C is A^T A.  A target that is
+    # the source itself then takes the same arithmetic as plain greedy.
+    gram_from_bta = bta is not None and (b is None or b is a)
+    while True:
+        if not np.any(state.active):
+            raise ExhaustedError("no active candidate columns remain")
+        ratio = np.full(state.score_num.shape, -np.inf)
+        np.divide(state.score_num, state.score_den, out=ratio, where=state.active)
+        p = int(np.argmax(ratio))
+        gram_col = (bta[:, p] if gram_from_bta else a.T @ a[:, p]) - w.T @ w[:, p]
+        pivot = gram_col[p]
+        if pivot > DEACTIVATION_TOLERANCE * state.den_init[p]:
+            break
+        # The recursion kept the column's denominator above the tolerance,
+        # but the column is numerically dependent on the current selection.
+        state.active[p] = False
     scale = np.sqrt(pivot)
     w_new = gram_col / scale
     if b is None:
-        target, cross_factors, v_new = a, state.gram_factors, w_new
+        v_new = w_new
     else:
-        target, cross_factors = b, state.cross_factors
-        cross_col = b.T @ a[:, p]
-        for w, v in zip(state.gram_factors, cross_factors):
-            cross_col = cross_col - w[p] * v
-        v_new = cross_col / scale
+        cross_col = bta[:, p] if bta is not None else b.T @ a[:, p]
+        v_new = (cross_col - v.T @ w[:, p]) / scale
 
     state.gains.append(float(state.score_num[p] / state.score_den[p]))
 
-    corr = a.T @ (target @ v_new)
-    for w, v in zip(state.gram_factors, cross_factors):
-        corr = corr - (v @ v_new) * w
+    corr = bta.T @ v_new if bta is not None else a.T @ ((a if b is None else b) @ v_new)
+    corr -= w.T @ (v @ v_new)
     state.score_num = state.score_num - 2.0 * w_new * corr + (v_new @ v_new) * (w_new * w_new)
     state.score_den = state.score_den - w_new * w_new
 
-    state.gram_factors.append(w_new)
+    k = len(state.selected)
+    state.gram_buffer = _put_row(state.gram_buffer, k, w_new)
     if b is not None:
-        state.cross_factors.append(v_new)
+        state.cross_buffer = _put_row(state.cross_buffer, k, v_new)
     state.selected.append(p)
     state.active[p] = False
     state.deactivate_spent()
@@ -204,16 +251,17 @@ def _select(a: np.ndarray, b: np.ndarray | None, l: int) -> SelectionResult:
     exhausted = False
     reconstructed = False
     for _ in range(l):
-        if not np.any(state.active):
-            exhausted = True
-            break
-        if target_energy is not None:
+        if target_energy is not None and np.any(state.active):
             num_max = float(np.max(state.score_num[state.active]))
             den_max = float(np.max(state.score_den[state.active]))
             if num_max <= EARLY_STOP_TOLERANCE * target_energy * den_max:
                 reconstructed = True
                 break
-        select_next(state, a, b)
+        try:
+            select_next(state, a, b)
+        except ExhaustedError:
+            exhausted = True
+            break
     return SelectionResult(
         indices=list(state.selected),
         gains=list(state.gains),

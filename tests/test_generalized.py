@@ -87,6 +87,44 @@ def test_reduction_to_plain_greedy_is_exact():
         assert gen.gains == plain.gains
 
 
+def test_reduction_to_plain_greedy_is_exact_on_tall_input():
+    # n < m: both runs keep C = A^T A and read their Gram columns from it.
+    for seed in range(4):
+        a = random_matrix(30, 20, seed=seed + 70)
+        assert init_state(a).bta is not None
+        gen = generalized_select(a, a, 15)
+        plain = greedy_select(a, 15)
+        assert gen.indices == plain.indices
+        assert gen.gains == plain.gains
+
+
+@pytest.mark.parametrize(
+    "m, n, c", [(60, 80, 20), (60, 200, 150)], ids=["direct-keeps-bta", "gram-form"]
+)
+def test_step_paths_match_oracle_through_buffer_growth(m, n, c):
+    # c * n <= m * (c + n): the direct form keeps C = B^T A and the steps
+    # read the cross columns and correlations from it.  Otherwise the Gram
+    # form keeps no C.  A twin state on the other path must take the same
+    # picks.  45 steps grow the factor buffers from empty to 64 rows.
+    a = random_matrix(m, n, seed=m + n)
+    b = random_matrix(m, c, seed=m + c + 1)
+    kept = c * n <= m * (c + n)
+    state = generalized_init(a, b)
+    assert (state.bta is not None) == kept
+    twin = generalized_init(a, b)
+    twin.bta = None if kept else b.T @ a
+    for _ in range(45):
+        p = select_next(state, a, b)
+        assert select_next(twin, a, b) == p
+        num, den = direct_generalized_scores(a, b, state.selected)
+        act = state.active
+        assert_allclose(state.score_num[act], num[act], rtol=1e-8)
+        assert_allclose(state.score_den[act], den[act], rtol=1e-8)
+        assert_allclose(twin.score_num[act], num[act], rtol=1e-8)
+    assert state.gram_factors.shape == (45, n)
+    assert state.cross_factors.shape == (45, c)
+
+
 def test_single_column_target_selects_that_column():
     a = random_matrix(9, 7, seed=12)
     b = as_matrix(a[:, [4]].copy())

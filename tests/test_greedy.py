@@ -11,7 +11,7 @@ from colsel import (
     reconstruction_error,
     select_next,
 )
-from colsel.greedy import ExhaustedError
+from colsel.greedy import ExhaustedError, SelectionState
 from instances import random_matrix, rank_deficient_matrix
 
 
@@ -107,6 +107,41 @@ def test_select_next_exhausted_error():
         select_next(state, a)
 
 
+def test_select_next_repicks_after_negligible_pivot():
+    # A spent duplicate that the scores wrongly keep active is deactivated
+    # once its pivot is recomputed, and the next best column is taken.
+    a = as_matrix(np.column_stack([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 1.0]]))
+    state = init_state(a)
+    assert select_next(state, a) == 0
+    state.active[1] = True
+    state.score_num[1], state.score_den[1] = 1e6, 1.0
+    assert select_next(state, a) == 2
+    assert not state.active[1]
+    state.active[1] = True
+    state.score_den[1] = 1.0
+    with pytest.raises(ExhaustedError):
+        select_next(state, a)
+    assert state.selected == [0, 2]
+    assert not state.active.any()
+
+
+def test_greedy_select_reports_exhausted_after_negligible_pivot(monkeypatch):
+    # The hook re-activates the spent duplicate after the first step, so the
+    # second step meets its negligible pivot with nothing else left.
+    deactivate_spent = SelectionState.deactivate_spent
+
+    def keep_duplicate_active(state):
+        deactivate_spent(state)
+        state.active[1] = True
+        state.score_den[1] = state.den_init[1]
+
+    monkeypatch.setattr(SelectionState, "deactivate_spent", keep_duplicate_active)
+    a = as_matrix(np.column_stack([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]]))
+    res = greedy_select(a, 2)
+    assert res.indices == [0]
+    assert res.exhausted
+
+
 def test_select_next_sequence_matches_naive_recompute():
     a = random_matrix(8, 12, seed=44)
     state = init_state(a)
@@ -186,6 +221,29 @@ def test_score_consistency_and_telescoping(seed):
         assert abs(new_error - (error - state.gains[t])) <= 1e-8 * scale
         assert new_error <= error + 1e-9 * scale
         error = new_error
+
+
+@pytest.mark.parametrize("m, n", [(90, 60), (50, 120)], ids=["tall", "wide"])
+def test_step_paths_match_oracle_through_buffer_growth(m, n):
+    # Tall inputs keep C = A^T A from the initial scores and read the steps'
+    # Gram columns from it; wide ones take the Gram form and keep no C.  A
+    # twin state on the other path must take the same picks.  45 steps grow
+    # the factor buffers from empty to 64 rows.
+    a = random_matrix(m, n, seed=m + n)
+    state = init_state(a)
+    assert (state.bta is not None) == (n < m)
+    twin = init_state(a)
+    twin.bta = None if n < m else a.T @ a
+    for _ in range(45):
+        p = select_next(state, a)
+        assert select_next(twin, a) == p
+        num, den = direct_scores(a, state.selected)
+        act = state.active
+        assert_allclose(state.score_num[act], num[act], rtol=1e-8)
+        assert_allclose(state.score_den[act], den[act], rtol=1e-8)
+        assert_allclose(twin.score_num[act], num[act], rtol=1e-8)
+    assert state.gram_factors.shape == (45, n)
+    assert state.cross_factors is None
 
 
 @pytest.mark.parametrize("seed", range(6))
