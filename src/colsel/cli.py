@@ -61,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="write result here instead of stdout")
         p.add_argument("--summary", help="write a JSON run summary here")
-        p.add_argument("--threads", type=int, default=None,
-                       help="map-phase thread count (default: machine parallelism)")
         return p
 
     common(sub.add_parser("select", help="centralized greedy selection"), need_l=True)
@@ -82,6 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--partitions", type=int, default=1)
     dist.add_argument("--assignment", default="contiguous",
                       choices=("contiguous", "round-robin"))
+    dist.add_argument("--threads", type=int, default=None,
+                      help="map-phase thread count (default: machine parallelism)")
 
     base = common(sub.add_parser("baseline", help="run a baseline selection method"),
                   need_l=True)

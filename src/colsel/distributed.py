@@ -94,8 +94,6 @@ class PartitionResult:
     local_indices: list[int]
     global_indices: list[int]
     columns: np.ndarray
-    exhausted: bool
-    target_reconstructed: bool
 
 
 def partition_columns(a: np.ndarray, c: int, assignment: str = "contiguous") -> list[Partition]:
@@ -137,8 +135,6 @@ def map_phase(partition: Partition, b: np.ndarray, l_b: int) -> PartitionResult:
         local_indices=list(res.indices),
         global_indices=[int(partition.global_indices[j]) for j in res.indices],
         columns=np.asfortranarray(partition.matrix[:, res.indices]),
-        exhausted=res.exhausted,
-        target_reconstructed=res.target_reconstructed,
     )
 
 
@@ -198,9 +194,7 @@ class DistributedReport:
     per_partition_picks: list[int]
     columns_moved: int
     broadcast_values: int
-    map_exhausted: list[bool]
     reduce_exhausted: bool
-    target_reconstructed: bool
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -233,7 +227,6 @@ def distributed_select(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             map_results = list(pool.map(lambda p: map_phase(p, b, l_b), parts))
-    map_results.sort(key=lambda r: r.pid)
     t_map = time.perf_counter()
 
     selection, winners, data = reduce_phase(map_results, b, config.budget)
@@ -250,9 +243,7 @@ def distributed_select(
         per_partition_picks=picks,
         columns_moved=columns_moved,
         broadcast_values=config.partitions * a.shape[0] * config.sketch.r,
-        map_exhausted=[r.exhausted for r in map_results],
         reduce_exhausted=selection.exhausted,
-        target_reconstructed=selection.target_reconstructed,
         timings={
             "sketch": t_sketch - t0,
             "map": t_map - t_sketch,

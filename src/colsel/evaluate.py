@@ -43,11 +43,18 @@ class MetricUndefinedError(ValueError):
     """Uniform sampling is already near-optimal; the relative metric is undefined."""
 
 
-def _lstsq_error(a: np.ndarray, cols: list[int], target: np.ndarray) -> float:
-    """Squared residual of ``target`` after least-squares fit on selected columns."""
+def _residual(a: np.ndarray, cols: list[int], target: np.ndarray) -> np.ndarray:
+    """Residual of ``target`` after least-squares fit on selected columns."""
+    if not cols:
+        return target
     sub = a[:, cols]
     coef, *_ = np.linalg.lstsq(sub, target, rcond=None)
-    return frobenius_sq(target - sub @ coef)
+    return target - sub @ coef
+
+
+def _lstsq_error(a: np.ndarray, cols: list[int], target: np.ndarray) -> float:
+    """Squared residual of ``target`` after least-squares fit on selected columns."""
+    return frobenius_sq(_residual(a, cols, target))
 
 
 def best_rank_error(a: np.ndarray, rank: int, seed: int = 0) -> float:
@@ -174,27 +181,32 @@ def _check_oracle_scale(a: np.ndarray) -> None:
 def naive_greedy_oracle(a: np.ndarray, l: int) -> SelectionResult:
     """Reference greedy selection by explicit recomputation of every error.
 
-    At each step evaluates the reconstruction error of every remaining
-    candidate with a dense least-squares solve; ties within an absolute
-    tolerance of 1e-9 times the matrix energy go to the smallest index.
+    At each step evaluates the reconstruction error of every active
+    candidate with a dense least-squares solve; ties within 1e-9 of the
+    current error go to the smallest index.  A column is active while it is
+    unselected and its residual norm squared exceeds 1e-12 of its initial
+    one; the run stops as exhausted when no column is active.
     """
     _check_oracle_scale(a)
     n = a.shape[1]
     if l < 1 or l > n:
         raise ValueError(f"budget l must satisfy 1 <= l <= {n}, got {l}")
-    tie_tol = 1e-9 * frobenius_sq(a)
+    den_init = np.sum(a * a, axis=0)
     selected: list[int] = []
     gains: list[float] = []
     current = frobenius_sq(a)
     exhausted = False
     for _ in range(l):
-        remaining = [i for i in range(n) if i not in selected]
-        errors = np.array([_lstsq_error(a, selected + [i], a) for i in remaining])
-        best = errors.min()
-        pos = next(j for j, err in enumerate(errors) if err <= best + tie_tol)
-        if current - errors[pos] <= tie_tol:
+        res = _residual(a, selected, a)
+        active = np.sum(res * res, axis=0) > 1e-12 * den_init
+        active[selected] = False
+        if not active.any():
             exhausted = True
             break
+        remaining = [int(i) for i in np.flatnonzero(active)]
+        errors = np.array([_lstsq_error(a, selected + [i], a) for i in remaining])
+        best = errors.min()
+        pos = next(j for j, err in enumerate(errors) if err <= best + 1e-9 * current)
         gains.append(current - float(errors[pos]))
         current = float(errors[pos])
         selected.append(remaining[pos])
@@ -220,14 +232,8 @@ def naive_generalized_oracle(a: np.ndarray, b: np.ndarray, l: int) -> SelectionR
     exhausted = False
     reconstructed = False
     for _ in range(l):
-        if selected:
-            sub = a[:, selected]
-            coef_a, *_ = np.linalg.lstsq(sub, a, rcond=None)
-            coef_b, *_ = np.linalg.lstsq(sub, b, rcond=None)
-            res_a = a - sub @ coef_a
-            res_b = b - sub @ coef_b
-        else:
-            res_a, res_b = a, b
+        res_a = _residual(a, selected, a)
+        res_b = _residual(a, selected, b)
         den = np.sum(res_a * res_a, axis=0)
         cross = res_b.T @ res_a
         num = np.sum(cross * cross, axis=0)

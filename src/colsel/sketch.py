@@ -1,8 +1,11 @@
 """Random-projection sketching with per-column reproducible randomness.
 
-The projection matrix is never materialized: each of its rows is a pure
-function of (seed, global column index), so partial sketches computed on
-different partitions, threads, or machines agree exactly.  Row entries are
+Each row of the projection matrix is a pure function of (seed, global
+column index), so partial sketches computed on different partitions,
+threads, or machines agree exactly.  A partition's sketch is one product
+per group of at most 128 of its columns with that group's stacked
+projection rows, so at most 128 rows of the projection matrix are held at
+a time; partial sketches are summed in partition order.  Row entries are
 scaled by 1/sqrt(r) to make the sketch norm-preserving in expectation;
 selection criteria are invariant to this uniform scaling.
 """
@@ -19,6 +22,10 @@ from .seeds import column_seed
 __all__ = ["SketchSpec", "sketch_row", "sketch_matrix", "sketch_partitioned"]
 
 KINDS = ("gaussian", "sign", "sparse-sign", "identity")
+
+# Columns per sketch product: bounds the stacked projection rows held at once
+# to _BLOCK x r, also for the identity kind, where r is the column count.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -67,23 +74,9 @@ def sketch_row(spec: SketchSpec, index: int) -> np.ndarray:
     return row * scale
 
 
-def _accumulate(a: np.ndarray, spec: SketchSpec, global_indices) -> np.ndarray:
-    """Stream the columns of ``a`` into a partial sketch, one rank-1 term each."""
-    m = a.shape[0]
-    out = np.zeros((m, spec.r))
-    for local, global_index in enumerate(global_indices):
-        out += np.outer(a[:, local], sketch_row(spec, int(global_index)))
-    return out
-
-
 def sketch_matrix(a: np.ndarray, spec: SketchSpec) -> np.ndarray:
     """Sketch of ``a``: the product with the implicit projection matrix."""
-    n = a.shape[1]
-    if spec.kind == "identity" and spec.r != n:
-        raise ValueError(
-            f"identity sketch requires r == {n} (the column count), got {spec.r}"
-        )
-    return _accumulate(a, spec, range(n))
+    return sketch_partitioned([(a, range(a.shape[1]))], spec)
 
 
 def sketch_partitioned(
@@ -92,9 +85,10 @@ def sketch_partitioned(
     """Sketch a column-partitioned matrix from per-partition partial sums.
 
     ``partitions`` holds (matrix block, global column indices) pairs that
-    must jointly tile the full matrix's columns.  Partial sketches are
-    accumulated independently and summed in partition order; the result
-    matches :func:`sketch_matrix` on the concatenated matrix.
+    must jointly tile the full matrix's columns.  Each partition's partial
+    sketch is added to the result in partition order, one product per group
+    of at most ``_BLOCK`` columns; the result matches :func:`sketch_matrix`
+    on the concatenated matrix up to the order of summation.
     """
     if not partitions:
         raise ValueError("at least one partition is required")
@@ -122,5 +116,8 @@ def sketch_partitioned(
         )
     out = np.zeros((m, spec.r))
     for block, indices in partitions:
-        out += _accumulate(block, spec, indices)
+        for start in range(0, len(indices), _BLOCK):
+            group = slice(start, start + _BLOCK)
+            rows = np.vstack([sketch_row(spec, int(i)) for i in indices[group]])
+            out += block[:, group] @ rows
     return out

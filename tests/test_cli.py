@@ -168,6 +168,15 @@ def test_usage_errors_exit_2(eye3_csv, capsys):
     capsys.readouterr()
 
 
+def test_threads_only_on_select_dist(tmp_path, eye3_csv, capsys):
+    assert main(["select", "--input", eye3_csv, "--l", "2", "--threads", "2"]) == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, ["select-dist", "--input", eye3_csv, "--l", "2",
+                                    "--sketch", "identity", "--threads", "2"])
+    assert code == 0
+    assert out == "0\n1\n"
+
+
 def test_data_errors_exit_3(tmp_path, eye3_csv, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3,nope\n")

@@ -111,16 +111,12 @@ def test_reduce_rejects_duplicate_globals():
         local_indices=[0],
         global_indices=[2],
         columns=np.asfortranarray(a[:, [0]]),
-        exhausted=False,
-        target_reconstructed=False,
     )
     dup = PartitionResult(
         pid=1,
         local_indices=[1],
         global_indices=[2],
         columns=np.asfortranarray(a[:, [1]]),
-        exhausted=False,
-        target_reconstructed=False,
     )
     with pytest.raises(ValueError, match="multiple partitions"):
         reduce_phase([res, dup], random_matrix(6, 2, seed=13), l=2)

@@ -19,7 +19,7 @@ from colsel import (
     sketch_svd_select,
     uniform_select,
 )
-from instances import planted_lowrank, random_matrix, rank_deficient_matrix
+from instances import badly_scaled_wide, planted_lowrank, random_matrix, rank_deficient_matrix
 
 
 def test_relative_accuracy_zero_for_uniform_selection():
@@ -159,6 +159,15 @@ def test_naive_greedy_oracle_steps_are_true_argmins():
         for combo in itertools.combinations(range(10), 3)
     )
     assert reconstruction_error(a, res.indices) >= exhaustive - 1e-9 * frobenius_sq(a)
+
+
+def test_naive_greedy_oracle_keeps_small_columns_of_badly_scaled_input():
+    # the small columns' gains are far below any tolerance scaled by the
+    # matrix energy, yet each lowers the error
+    a = badly_scaled_wide()
+    oracle = naive_greedy_oracle(a, 7)
+    assert oracle.indices == greedy_select(a, 7).indices
+    assert not oracle.exhausted
 
 
 def test_naive_generalized_oracle_reduces_to_greedy_oracle():

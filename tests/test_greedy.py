@@ -12,7 +12,7 @@ from colsel import (
     select_next,
 )
 from colsel.greedy import ExhaustedError, SelectionState
-from instances import random_matrix, rank_deficient_matrix
+from instances import badly_scaled_wide, random_matrix, rank_deficient_matrix
 
 
 def direct_scores(a, selected):
@@ -25,23 +25,6 @@ def direct_scores(a, selected):
         residual = a
     gram = residual.T @ residual
     return np.sum(gram * gram, axis=0), np.diag(gram).copy()
-
-
-def badly_scaled_wide(m=20, n=64, k=4, seed=8):
-    """``k`` independent columns of norm 1e6 to 2e6, then ``n - k`` columns
-    of norm 1e-3 orthogonal to them.
-
-    Wide enough (n > 2m) that the initial scores take the Gram form, which
-    alone gets the small columns' scores wrong by orders of magnitude.
-    """
-    rng = np.random.default_rng(seed)
-    big = rng.standard_normal((m, k))
-    q, _ = np.linalg.qr(big)
-    small = rng.standard_normal((m, n - k))
-    small -= q @ (q.T @ small)
-    small *= 1e-3 / np.linalg.norm(small, axis=0)
-    big *= 1e6 * np.linspace(1.0, 2.0, k) / np.linalg.norm(big, axis=0)
-    return as_matrix(np.hstack([big, small]))
 
 
 def test_init_state_identity():

@@ -140,6 +140,28 @@ def test_partitioned_round_robin_order_independence():
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("kind", ["identity", "gaussian"])
+def test_sketch_across_column_groups(kind):
+    # 300 columns: every layout below takes more than one 128-column product,
+    # and the round-robin index lists cross a group boundary
+    a = random_matrix(12, 300, seed=9)
+    spec = SketchSpec(kind, r=300 if kind == "identity" else 16, seed=29)
+    direct = a @ materialize(spec, 300)
+    layouts = {
+        "matrix": sketch_matrix(a, spec),
+        "one-partition": sketch_partitioned(split_contiguous(a, [300]), spec),
+        "contiguous": sketch_partitioned(split_contiguous(a, [130, 170]), spec),
+        "round-robin": sketch_partitioned(
+            [(a[:, p::2], list(range(p, 300, 2))) for p in range(2)], spec
+        ),
+    }
+    for layout, got in layouts.items():
+        if kind == "identity":
+            assert np.array_equal(got, a), layout
+        else:
+            assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct), layout
+
+
 def test_partitioned_validation():
     a = random_matrix(6, 8, seed=7)
     spec = SketchSpec("gaussian", r=4, seed=0)
