@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .generalized import generalized_select
 from .greedy import SelectionResult, greedy_select
-from .linalg import frobenius_sq, orthonormal_basis, reconstruction_error
+from .linalg import _projection_error, reconstruction_error
 from .sketch import SketchSpec, sketch_partitioned
 
 __all__ = [
@@ -198,19 +197,15 @@ class DistributedReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def _target_error(columns: np.ndarray, b: np.ndarray) -> float:
-    q = orthonormal_basis(columns, range(columns.shape[1]))
-    return frobenius_sq(b - q @ (q.T @ b))
-
-
 def distributed_select(
     a: np.ndarray, config: DistributedConfig, threads: int | None = None
 ) -> DistributedReport:
     """Run the full pipeline: sketch, per-partition selection, reduce.
 
-    Map tasks run on a thread pool and share only immutable inputs; results
-    are combined in partition order, so the outcome does not depend on the
-    pool size.
+    Map tasks run one after another in partition order.  ``threads`` is
+    still validated (>= 1) but no longer changes the run: BLAS already uses
+    every core inside each task, and on a 2-core host a thread pool made the
+    map phase slower, not faster.
     """
     if config.sketch is None:
         raise ValueError("distributed selection requires a sketch spec")
@@ -222,14 +217,10 @@ def distributed_select(
     b = sketch_partitioned([(p.matrix, p.global_indices) for p in parts], config.sketch)
     t_sketch = time.perf_counter()
 
-    if threads == 1 or len(parts) == 1:
-        map_results = [map_phase(p, b, l_b) for p in parts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            map_results = list(pool.map(lambda p: map_phase(p, b, l_b), parts))
+    map_results = [map_phase(p, b, l_b) for p in parts]
     t_map = time.perf_counter()
 
-    selection, winners, data = reduce_phase(map_results, b, config.budget)
+    selection, winners, _ = reduce_phase(map_results, b, config.budget)
     t_reduce = time.perf_counter()
 
     picks = [len(r.global_indices) for r in map_results]
@@ -238,7 +229,7 @@ def distributed_select(
         raise AssertionError("map phase emitted more columns than its budget allows")
     return DistributedReport(
         selected=winners,
-        target_error=_target_error(data, b),
+        target_error=_projection_error(a, winners, b),
         exact_error=reconstruction_error(a, winners),
         per_partition_picks=picks,
         columns_moved=columns_moved,

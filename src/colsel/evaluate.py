@@ -1,8 +1,12 @@
 """Evaluation metric, sampling baselines, and brute-force oracles.
 
-The oracles recompute every quantity from scratch with dense projections;
-they exist so the recursive production paths can be validated against an
-independent route, and are guarded to test-scale inputs.
+The metric takes every projection error from the QR kernel that
+:mod:`colsel.linalg` owns.  Only :func:`relative_accuracy` falls back to
+``lstsq``, for dependent column sets such as uniform draws with repeated
+columns.  The oracles recompute every quantity directly with dense
+``lstsq`` projections and never call that kernel: they exist so the
+recursive production paths, and the kernel itself, can be validated against
+an independent route, and are guarded to test-scale inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +19,13 @@ import numpy as np
 
 from .generalized import generalized_select
 from .greedy import SelectionResult, greedy_select
-from .linalg import check_column_set, frobenius_sq, randomized_svd, reconstruction_error
+from .linalg import (
+    DegenerateBasisError,
+    _projection_error,
+    check_column_set,
+    frobenius_sq,
+    randomized_svd,
+)
 from .seeds import derive_seed
 
 __all__ = [
@@ -81,6 +91,44 @@ def uniform_select(n: int, l: int, seed: int) -> list[int]:
     return [int(i) for i in rng.choice(n, size=l, replace=False)]
 
 
+def _tolerant_error(a: np.ndarray, cols: list[int], energy: float) -> float:
+    """Projection error of ``a`` on ``cols``, also for dependent columns.
+
+    Uniform draws can legitimately be linearly dependent (more columns
+    than rows, or repeated columns); their span is still well-defined, so
+    those few fall back to ``lstsq``.
+    """
+    try:
+        return _projection_error(a, cols, a, energy)
+    except DegenerateBasisError:
+        return _lstsq_error(a, cols, a)
+
+
+def _accuracy(
+    a: np.ndarray, l: int, error: float, energy: float, uniform_trials: int, seed: int
+) -> float:
+    """Relative accuracy of a selection of ``l`` columns with squared error ``error``."""
+    if l < 1:
+        raise ValueError("selection must contain at least one column")
+    if uniform_trials < 1:
+        raise ValueError("uniform_trials must be >= 1")
+    n = a.shape[1]
+    rng = np.random.default_rng(seed)
+    uniform_errors = []
+    for _ in range(uniform_trials):
+        subset = [int(i) for i in rng.choice(n, size=l, replace=False)]
+        uniform_errors.append(math.sqrt(_tolerant_error(a, subset, energy)))
+    err_uniform = float(np.mean(uniform_errors))
+    err_best = best_rank_error(a, l, seed=derive_seed(seed, "svd-oracle"))
+    denom = err_uniform - err_best
+    if denom <= 1e-12 * math.sqrt(energy):
+        raise MetricUndefinedError(
+            "uniform sampling matches the best rank approximation; "
+            "the relative metric is undefined"
+        )
+    return 100.0 * (err_uniform - math.sqrt(error)) / denom
+
+
 def relative_accuracy(
     a: np.ndarray, columns, uniform_trials: int = 10, seed: int = 0
 ) -> float:
@@ -89,32 +137,14 @@ def relative_accuracy(
     Both numerator and denominator use Frobenius norms (not their squares).
     The uniform reference is the mean error over ``uniform_trials`` subsets
     drawn from a single stream seeded by ``seed``, so a one-trial call
-    reproduces :func:`uniform_select` with the same seed.
+    reproduces :func:`uniform_select` with the same seed.  Dependent
+    columns, in the selection or in a uniform subset, are measured by the
+    error of their span.
     """
     cols = check_column_set(columns, a.shape[1])
-    l = len(cols)
-    if l < 1:
-        raise ValueError("selection must contain at least one column")
-    if uniform_trials < 1:
-        raise ValueError("uniform_trials must be >= 1")
-    n = a.shape[1]
-    # Rank-tolerant projection throughout: uniform trials can legitimately
-    # draw linearly dependent subsets, whose span is still well-defined.
-    err_selected = math.sqrt(_lstsq_error(a, cols, a))
-    rng = np.random.default_rng(seed)
-    uniform_errors = []
-    for _ in range(uniform_trials):
-        subset = [int(i) for i in rng.choice(n, size=l, replace=False)]
-        uniform_errors.append(math.sqrt(_lstsq_error(a, subset, a)))
-    err_uniform = float(np.mean(uniform_errors))
-    err_best = best_rank_error(a, l, seed=derive_seed(seed, "svd-oracle"))
-    denom = err_uniform - err_best
-    if denom <= 1e-12 * math.sqrt(frobenius_sq(a)):
-        raise MetricUndefinedError(
-            "uniform sampling matches the best rank approximation; "
-            "the relative metric is undefined"
-        )
-    return 100.0 * (err_uniform - err_selected) / denom
+    energy = frobenius_sq(a)
+    error = _tolerant_error(a, cols, energy)
+    return _accuracy(a, len(cols), error, energy, uniform_trials, seed)
 
 
 def hybrid_select(a: np.ndarray, l: int, probability_mode: str, seed: int) -> list[int]:
@@ -277,10 +307,16 @@ def evaluate_selection(
     uniform_trials: int = 10,
     seed: int = 0,
 ) -> EvalReport:
-    """Package a selection's error and relative accuracy into a report."""
+    """Package a selection's error and relative accuracy into a report.
+
+    Unlike :func:`relative_accuracy`, the selection's error is strict:
+    dependent selected columns raise :class:`DegenerateBasisError`.
+    """
     started = time.perf_counter()
-    error = reconstruction_error(a, indices)
-    accuracy = relative_accuracy(a, indices, uniform_trials=uniform_trials, seed=seed)
+    cols = check_column_set(indices, a.shape[1])
+    energy = frobenius_sq(a)
+    error = _projection_error(a, cols, a, energy)
+    accuracy = _accuracy(a, len(cols), error, energy, uniform_trials, seed)
     return EvalReport(
         method=method,
         indices=[int(i) for i in indices],

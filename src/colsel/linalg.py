@@ -3,6 +3,13 @@
 Matrices are plain float64 numpy arrays in column-major (Fortran) layout,
 validated once at construction time by :func:`as_matrix`.  All operations
 here are pure functions of their inputs.
+
+This module owns the projection error ``||T - P_S T||_F^2`` of a target
+``T`` on a column set ``S``: :func:`reconstruction_error` (``T = A``), the
+pipeline's sketch error, the CLI summaries and the relative-accuracy metric
+all take it from :func:`_projection_error`.  The brute-force oracles in
+:mod:`colsel.evaluate` keep their own ``lstsq`` route, so that they stay an
+independent check on it.
 """
 
 from __future__ import annotations
@@ -29,6 +36,13 @@ __all__ = [
 # linearly dependent.  Scale-invariant; shared with the greedy module's
 # candidate-deactivation rule.
 RANK_TOLERANCE = 1e-12
+
+# The energy form ||T||^2 - ||Q^T T||^2 of a projection error can lose about
+# eps * m * ||T||^2 to rounding; when that bound exceeds this fraction of the
+# computed error, the explicit residual is formed instead.  The bound is
+# nearly attained for small m, so the fraction sits an order of magnitude
+# below the 1e-10 relative accuracy the errors are meant to have.
+_ENERGY_TOLERANCE = 1e-11
 
 
 class DegenerateBasisError(ValueError):
@@ -113,16 +127,39 @@ def project_onto_columns(
     return q @ (q.T @ x)
 
 
+def _projection_error(
+    a: np.ndarray,
+    columns: Sequence[int],
+    target: np.ndarray,
+    target_energy: float | None = None,
+) -> float:
+    """Squared Frobenius error of ``target`` after projection onto the selected columns.
+
+    One Householder QR of the selected columns gives Q, and the error is
+    the energy form ``||T||^2 - ||Q^T T||^2``, which costs one product
+    Q^T T.  When its rounding bound ``eps * m * ||T||^2`` is not small
+    against the result, the explicit residual ``T - Q (Q^T T)`` is summed
+    instead.  ``target_energy`` is ``||T||_F^2`` when the caller already has
+    it.  Raises :class:`DegenerateBasisError` when the selected columns are
+    numerically rank deficient; the empty selection yields ``||T||_F^2``.
+    """
+    energy = frobenius_sq(target) if target_energy is None else target_energy
+    if not check_column_set(columns, a.shape[1]):
+        return energy
+    q = orthonormal_basis(a, columns)
+    qt = q.T @ target
+    error = energy - frobenius_sq(qt)
+    if np.finfo(np.float64).eps * a.shape[0] * energy > _ENERGY_TOLERANCE * error:
+        error = frobenius_sq(target - q @ qt)
+    return error
+
+
 def reconstruction_error(a: np.ndarray, columns: Sequence[int]) -> float:
     """Squared Frobenius error of ``a`` after projection onto the selected columns.
 
     The empty selection yields the squared Frobenius norm of ``a``.
     """
-    cols = check_column_set(columns, a.shape[1])
-    if not cols:
-        return frobenius_sq(a)
-    residual = a - project_onto_columns(a, cols, a)
-    return frobenius_sq(residual)
+    return _projection_error(a, columns, a)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,51 @@ def test_relative_accuracy_matches_formula_oracle():
     assert got == pytest.approx(want, rel=1e-9)
 
 
+def lstsq_relative_accuracy(a, cols, trials, seed):
+    """The metric with every error from an SVD-based lstsq fit, dependent sets included."""
+
+    def err(subset):
+        sub = a[:, subset]
+        coef, *_ = np.linalg.lstsq(sub, a, rcond=None)
+        return math.sqrt(frobenius_sq(a - sub @ coef))
+
+    n, l = a.shape[1], len(cols)
+    rng = np.random.default_rng(seed)
+    draws = [[int(i) for i in rng.choice(n, size=l, replace=False)] for _ in range(trials)]
+    err_u = float(np.mean([err(d) for d in draws]))
+    svals = np.linalg.svd(a, compute_uv=False)
+    err_opt = math.sqrt(float(np.sum(svals[l:] ** 2)))
+    return 100.0 * (err_u - err(cols)) / (err_u - err_opt), draws
+
+
+def _repeated_columns():
+    # twelve directions, each in three scaled copies: many uniform draws
+    # hold two copies of one direction
+    rng = np.random.default_rng(31)
+    base = rng.standard_normal((15, 12))
+    return as_matrix(np.hstack([base, 2.0 * base, -0.5 * base])), 6
+
+
+def _more_columns_than_rows():
+    # 8 rows, l = 10: every draw is dependent, yet most columns repeat two
+    # directions, so a draw often misses some of the other six
+    rng = np.random.default_rng(32)
+    cols = np.empty((8, 60))
+    cols[:, :50] = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 50))
+    cols[:, 50:] = rng.standard_normal((8, 10))
+    return as_matrix(cols), 10
+
+
+@pytest.mark.parametrize("make", [_repeated_columns, _more_columns_than_rows])
+def test_relative_accuracy_with_dependent_uniform_draws(make):
+    a, l = make()
+    cols = uniform_select(a.shape[1], l, seed=5)
+    got = relative_accuracy(a, cols, uniform_trials=10, seed=12)
+    want, draws = lstsq_relative_accuracy(a, cols, 10, 12)
+    assert any(np.linalg.matrix_rank(a[:, d]) < l for d in draws)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
 def test_relative_accuracy_undefined_when_uniform_is_optimal():
     a = as_matrix(np.eye(3))
     with pytest.raises(MetricUndefinedError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_almost_equal
 
 from colsel import (
@@ -11,7 +13,9 @@ from colsel import (
     randomized_svd,
     reconstruction_error,
 )
-from instances import random_matrix
+from colsel.evaluate import _tolerant_error
+from colsel.linalg import _projection_error
+from instances import badly_scaled_wide, random_matrix
 
 
 def normal_equation_projection(a, cols, x):
@@ -145,3 +149,112 @@ def test_randomized_svd_near_optimal_error():
     assert_allclose(res.u.T @ res.u, np.eye(5), atol=1e-8)
     assert np.all(np.diff(res.singular_values) <= 1e-12)
     assert np.all(res.singular_values >= 0)
+
+
+def lstsq_error(a, cols, target):
+    """Oracle: squared residual of an SVD-based least-squares fit."""
+    sub = a[:, cols]
+    coef, *_ = np.linalg.lstsq(sub, target, rcond=None)
+    residual = target - sub @ coef
+    return float(np.sum(residual * residual))
+
+
+def _in_span_plus_orthogonal(rng, s, c, ratio):
+    """``c`` columns ``S W + N`` with N orthogonal to span(S) and
+    ``||N||^2 = ratio * ||S W||^2``.
+
+    The coefficients W stay bounded however ill-conditioned S is, so the
+    projection error ``||N||^2`` is well determined by the data.
+    """
+    q, _ = np.linalg.qr(s)
+    inside = s @ rng.standard_normal((s.shape[1], c))
+    perp = rng.standard_normal((s.shape[0], c))
+    perp -= q @ (q.T @ perp)
+    perp *= np.sqrt(ratio * np.sum(inside * inside) / np.sum(perp * perp))
+    return inside + perp
+
+
+@st.composite
+def independent_sets(draw):
+    """(a, cols, target) with numerically independent selected columns."""
+    kind = draw(st.sampled_from(
+        ["ill-conditioned", "badly-scaled", "duplicate-column", "near-full-span"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(20, 40))
+    k = draw(st.integers(1, m - 1))
+    if kind == "ill-conditioned":
+        # singular values of the selection geometric from 1 to 1e-10 at worst
+        cond = 10.0 ** draw(st.floats(2.0, 10.0))
+        u, _ = np.linalg.qr(rng.standard_normal((m, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        s = (u * np.geomspace(1.0, 1.0 / cond, k)) @ v.T
+        ratio = 10.0 ** draw(st.floats(-6.0, 0.0))
+        a = np.hstack([s, _in_span_plus_orthogonal(rng, s, draw(st.integers(1, 30)), ratio)])
+        return as_matrix(a), list(range(k)), as_matrix(a)
+    if kind == "badly-scaled":
+        # norms 1e6 to 2e6 next to 1e-3; four big and sixteen small columns
+        # span everything, where the error is rounding noise around zero
+        a = badly_scaled_wide(seed=draw(st.integers(0, 1000)))
+        big = draw(st.lists(st.integers(0, 3), max_size=4, unique=True))
+        small = draw(st.lists(st.integers(4, 63), min_size=1, max_size=16, unique=True))
+        return a, big + small, a
+    if kind == "duplicate-column":
+        # every column appears twice; the selection takes one copy of each
+        base = rng.standard_normal((m, m + 5))
+        a = as_matrix(np.hstack([base, base]))
+        picks = rng.choice(m + 5, size=k, replace=False)
+        cols = [int(j) + (m + 5) * int(rng.integers(0, 2)) for j in picks]
+        target = a if draw(st.booleans()) else as_matrix(rng.standard_normal((m, 7)))
+        return a, cols, target
+    # near-full-span: error below 1e-10 of the energy, so the energy form
+    # would be rounding noise and the guard must take the explicit residual
+    s = rng.standard_normal((m, k))
+    ratio = 10.0 ** draw(st.floats(-11.0, -10.0, exclude_max=True))
+    a = np.hstack([s, _in_span_plus_orthogonal(rng, s, draw(st.integers(10, 60)), ratio)])
+    error = lstsq_error(a, list(range(k)), a)
+    assert error < 1e-10 * frobenius_sq(a)
+    return as_matrix(a), list(range(k)), as_matrix(a)
+
+
+@st.composite
+def dependent_sets(draw):
+    """(a, cols) whose selected columns are linearly dependent."""
+    kind = draw(st.sampled_from(["duplicate-column", "rank-deficient", "more-columns-than-rows"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(3, 30))
+    if kind == "duplicate-column":
+        a = random_matrix(m, m + 4, seed=int(rng.integers(1000)))
+        a = as_matrix(np.hstack([a, 3.0 * a[:, :1]]))
+        others = rng.choice(np.arange(1, m + 4), size=int(rng.integers(0, m - 1)), replace=False)
+        return a, [0, m + 4] + [int(j) for j in others]
+    if kind == "rank-deficient":
+        rank = int(rng.integers(1, m))
+        a = as_matrix(rng.standard_normal((m, rank)) @ rng.standard_normal((rank, 2 * m)))
+        return a, [int(j) for j in rng.choice(2 * m, size=int(rng.integers(rank + 1, m + 1)), replace=False)]
+    a = random_matrix(m, 2 * m + 2, seed=int(rng.integers(1000)))
+    return a, [int(j) for j in rng.choice(2 * m + 2, size=int(rng.integers(m + 1, 2 * m + 3)), replace=False)]
+
+
+def _assert_matches_lstsq(got, a, cols, target):
+    want = lstsq_error(a, cols, target)
+    # A selection that spans the target leaves only rounding noise, about
+    # (m eps)^2 ||T||^2, where no relative comparison is meaningful.
+    floor = (a.shape[0] * np.finfo(np.float64).eps) ** 2 * frobenius_sq(target)
+    assert abs(got - want) <= 1e-10 * want + floor
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(independent_sets())
+def test_projection_error_matches_lstsq(case):
+    a, cols, target = case
+    _assert_matches_lstsq(_projection_error(a, cols, target), a, cols, target)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dependent_sets())
+def test_projection_error_rejects_dependent_sets(case):
+    a, cols = case
+    with pytest.raises(DegenerateBasisError):
+        _projection_error(a, cols, a)
+    # the uniform trials of the relative-accuracy metric take lstsq instead
+    _assert_matches_lstsq(_tolerant_error(a, cols, frobenius_sq(a)), a, cols, a)
