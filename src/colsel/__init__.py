@@ -36,7 +36,6 @@ from .linalg import (
     as_matrix,
     frobenius_sq,
     orthonormal_basis,
-    project_onto_columns,
     randomized_svd,
     reconstruction_error,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "as_matrix",
     "frobenius_sq",
     "orthonormal_basis",
-    "project_onto_columns",
     "randomized_svd",
     "reconstruction_error",
     "MatrixFormatError",

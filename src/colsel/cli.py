@@ -240,7 +240,7 @@ def _run(args) -> int:
         _write_lines([f"{report.accuracy:.17g}"], args.output)
         if args.summary:
             summary = RunSummary(
-                method=report.method,
+                method="eval",
                 parameters={**report.parameters, "seed": report.seed},
                 selected=report.indices,
                 f_value=report.error,

@@ -5,18 +5,21 @@ selects columns that reconstruct the shared sketch, then a single reduce
 step selects the final columns from the union of the per-partition picks.
 Only the picked columns cross the phase boundary; the report tracks that
 data movement along with the sketch broadcast cost.
+
+Both phases take the target ``b=None`` to mean that the candidates are
+their own target.  The naive baseline is the same two phases run that way:
+each partition approximates only its own block, and the reduce step only
+the union.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generalized import generalized_select
-from .greedy import SelectionResult, greedy_select
+from .greedy import SelectionResult, _select
 from .linalg import _projection_error, reconstruction_error
 from .sketch import SketchSpec, sketch_partitioned
 
@@ -69,11 +72,11 @@ class DistributedConfig:
             )
 
     def resolved_partition_budget(self) -> int:
-        # Ceiling, not floor: with the floor the union of per-partition picks
-        # can fall short of the global budget whenever it is not divisible.
+        # As in the paper, every partition selects up to the global budget, so
+        # the reduce step chooses among up to c * l candidates.
         if self.per_partition_budget is not None:
             return self.per_partition_budget
-        return math.ceil(self.budget / self.partitions)
+        return self.budget
 
 
 @dataclass(frozen=True)
@@ -120,15 +123,13 @@ def partition_columns(a: np.ndarray, c: int, assignment: str = "contiguous") -> 
     return parts
 
 
-def map_phase(partition: Partition, b: np.ndarray, l_b: int) -> PartitionResult:
-    """Select up to ``l_b`` columns of one partition against the shared target."""
-    if partition.matrix.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"row mismatch: partition has {partition.matrix.shape[0]} rows, "
-            f"target has {b.shape[0]}"
-        )
+def map_phase(partition: Partition, b: np.ndarray | None, l_b: int) -> PartitionResult:
+    """Select up to ``l_b`` columns of one partition against the shared target.
+
+    With ``b=None`` the partition's own block is the target.
+    """
     width = partition.matrix.shape[1]
-    res = generalized_select(partition.matrix, b, min(l_b, width))
+    res = _select(partition.matrix, b, min(l_b, width))
     return PartitionResult(
         pid=partition.pid,
         local_indices=list(res.indices),
@@ -138,14 +139,14 @@ def map_phase(partition: Partition, b: np.ndarray, l_b: int) -> PartitionResult:
 
 
 def reduce_phase(
-    results: list[PartitionResult], b: np.ndarray, l: int
+    results: list[PartitionResult], b: np.ndarray | None, l: int
 ) -> tuple[SelectionResult, list[int], np.ndarray]:
     """Final selection over the union of per-partition picks.
 
-    Returns the selection over the concatenated candidates, the winners'
-    global indices, and the winners' column data.  If the union holds
-    fewer than ``l`` columns, everything selectable is returned and the
-    exhausted flag is set.
+    With ``b=None`` the union itself is the target.  Returns the selection
+    over the concatenated candidates, the winners' global indices, and the
+    winners' column data.  If the union holds fewer than ``l`` columns,
+    everything selectable is returned and the exhausted flag is set.
     """
     if not results:
         raise ValueError("reduce phase needs at least one partition result")
@@ -164,7 +165,7 @@ def reduce_phase(
         np.concatenate([r.columns for r in ordered], axis=1)
     )
     k = candidates.shape[1]
-    selection = generalized_select(candidates, b, min(l, k))
+    selection = _select(candidates, b, min(l, k))
     if k < l:
         selection = SelectionResult(
             indices=selection.indices,
@@ -245,7 +246,7 @@ def distributed_select(
 
 
 def naive_distributed_baseline(a: np.ndarray, config: DistributedConfig) -> list[int]:
-    """Per-partition selection without a shared target, then a greedy reduction.
+    """Both phases without a shared target: each block and then the union is its own.
 
     Each partition greedily approximates only its own block, which is the
     failure mode the shared sketch avoids: locally dominant columns win
@@ -253,14 +254,5 @@ def naive_distributed_baseline(a: np.ndarray, config: DistributedConfig) -> list
     """
     l_b = config.resolved_partition_budget()
     parts = partition_columns(a, config.partitions, config.assignment)
-    union_globals: list[int] = []
-    union_blocks: list[np.ndarray] = []
-    for part in parts:
-        width = part.matrix.shape[1]
-        res = greedy_select(part.matrix, min(l_b, width))
-        union_globals.extend(int(part.global_indices[j]) for j in res.indices)
-        union_blocks.append(part.matrix[:, res.indices])
-    candidates = np.asfortranarray(np.concatenate(union_blocks, axis=1))
-    k = candidates.shape[1]
-    final = greedy_select(candidates, min(config.budget, k))
-    return [union_globals[j] for j in final.indices]
+    _, winners, _ = reduce_phase([map_phase(p, None, l_b) for p in parts], None, config.budget)
+    return winners

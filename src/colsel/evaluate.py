@@ -23,6 +23,7 @@ from .linalg import (
     DegenerateBasisError,
     _projection_error,
     check_column_set,
+    column_norms_sq,
     frobenius_sq,
     randomized_svd,
 )
@@ -78,7 +79,7 @@ def best_rank_error(a: np.ndarray, rank: int, seed: int = 0) -> float:
     if min(m, n) <= EXACT_SVD_LIMIT:
         s = np.linalg.svd(a, compute_uv=False)
         return float(np.sqrt(np.sum(s[rank:] ** 2)))
-    res = randomized_svd(a, rank, oversample=10, power_iters=2, seed=seed)
+    res = randomized_svd(a, rank, seed=seed)
     tail = frobenius_sq(a) - float(np.sum(res.singular_values**2))
     return float(np.sqrt(max(tail, 0.0)))
 
@@ -169,12 +170,10 @@ def hybrid_select(a: np.ndarray, l: int, probability_mode: str, seed: int) -> li
         sampled = rng.choice(n, size=sample_size, replace=False)
     else:
         if probability_mode == "column-norm":
-            mass = np.sum(a * a, axis=0)
+            mass = column_norms_sq(a)
         else:
             k = min(l, min(m, n))
-            svd = randomized_svd(
-                a, k, oversample=10, power_iters=2, seed=derive_seed(seed, "hybrid-svd")
-            )
+            svd = randomized_svd(a, k, seed=derive_seed(seed, "hybrid-svd"))
             mass = np.sum(svd.v * svd.v, axis=1)
         total = float(mass.sum())
         if total <= 0.0:
@@ -193,9 +192,7 @@ def sketch_svd_select(a: np.ndarray, l: int, k: int, seed: int) -> list[int]:
 
     The target is the rank-``k`` factor U_k scaled by its singular values.
     """
-    svd = randomized_svd(
-        a, k, oversample=10, power_iters=2, seed=derive_seed(seed, "sketch-svd")
-    )
+    svd = randomized_svd(a, k, seed=derive_seed(seed, "sketch-svd"))
     target = svd.u * svd.singular_values
     return generalized_select(a, target, l).indices
 
@@ -291,7 +288,6 @@ def naive_generalized_oracle(a: np.ndarray, b: np.ndarray, l: int) -> SelectionR
 class EvalReport:
     """Outcome of evaluating one selection on one matrix."""
 
-    method: str
     indices: list[int]
     error: float
     accuracy: float | None
@@ -303,7 +299,6 @@ class EvalReport:
 def evaluate_selection(
     a: np.ndarray,
     indices,
-    method: str = "eval",
     uniform_trials: int = 10,
     seed: int = 0,
 ) -> EvalReport:
@@ -318,7 +313,6 @@ def evaluate_selection(
     error = _projection_error(a, cols, a, energy)
     accuracy = _accuracy(a, len(cols), error, energy, uniform_trials, seed)
     return EvalReport(
-        method=method,
         indices=[int(i) for i in indices],
         error=error,
         accuracy=accuracy,

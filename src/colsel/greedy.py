@@ -34,14 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frobenius_sq
+from .linalg import RANK_TOLERANCE, column_norms_sq, frobenius_sq
 
 __all__ = ["SelectionState", "SelectionResult", "init_state", "select_next", "greedy_select"]
-
-# Candidate columns whose residual squared norm falls below this fraction
-# of their original squared norm are dropped from consideration; selecting
-# them would divide by a vanishing denominator.
-DEACTIVATION_TOLERANCE = 1e-12
 
 # Column block width of the block-wise Gram-form initial scores.
 _BLOCK = 128
@@ -101,10 +96,12 @@ class SelectionState:
         return self.cross_buffer[: len(self.selected)]
 
     def deactivate_spent(self) -> None:
-        self.active &= self.score_den > DEACTIVATION_TOLERANCE * self.den_init
+        # A candidate whose residual squared norm fell below this fraction of
+        # its original one would divide by a vanishing denominator.
+        self.active &= self.score_den > RANK_TOLERANCE * self.den_init
 
 
-def _column_norms_sq(
+def _cross_norms_sq(
     a: np.ndarray, b: np.ndarray, den: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Squared norms of the columns of ``b.T @ a``, and ``b.T @ a`` if formed.
@@ -120,7 +117,7 @@ def _column_norms_sq(
     c = b.shape[1]
     if c * n <= m * (c + n):
         cross = b.T @ a
-        return np.einsum("ij,ij->j", cross, cross), cross
+        return column_norms_sq(cross), cross
     out = np.empty(n)
     gram = b @ b.T
     for start in range(0, n, _BLOCK):
@@ -144,10 +141,10 @@ def init_state(a: np.ndarray, b: np.ndarray | None = None) -> SelectionState:
         raise ValueError(
             f"row mismatch: source has {a.shape[0]} rows, target has {b.shape[0]}"
         )
-    den = np.einsum("ij,ij->j", a, a)
+    den = column_norms_sq(a)
     if not np.any(den > 0.0):
         raise ValueError("matrix has no nonzero columns; nothing to select")
-    num, bta = _column_norms_sq(a, a if b is None else b, den)
+    num, bta = _cross_norms_sq(a, a if b is None else b, den)
     return SelectionState(
         score_num=num,
         score_den=den,
@@ -195,7 +192,7 @@ def select_next(state: SelectionState, a: np.ndarray, b: np.ndarray | None = Non
         p = int(np.argmax(ratio))
         gram_col = (bta[:, p] if gram_from_bta else a.T @ a[:, p]) - w.T @ w[:, p]
         pivot = gram_col[p]
-        if pivot > DEACTIVATION_TOLERANCE * state.den_init[p]:
+        if pivot > RANK_TOLERANCE * state.den_init[p]:
             break
         # The recursion kept the column's denominator above the tolerance,
         # but the column is numerically dependent on the current selection.

@@ -24,17 +24,17 @@ __all__ = [
     "SvdResult",
     "as_matrix",
     "check_column_set",
+    "column_norms_sq",
     "frobenius_sq",
     "orthonormal_basis",
-    "project_onto_columns",
     "reconstruction_error",
     "randomized_svd",
 ]
 
 # A basis column whose residual against the previously orthogonalized
 # columns falls below this fraction of its original norm is treated as
-# linearly dependent.  Scale-invariant; shared with the greedy module's
-# candidate-deactivation rule.
+# linearly dependent.  Scale-invariant; the greedy module's
+# candidate-deactivation rule uses it too.
 RANK_TOLERANCE = 1e-12
 
 # The energy form ||T||^2 - ||Q^T T||^2 of a projection error can lose about
@@ -43,6 +43,10 @@ RANK_TOLERANCE = 1e-12
 # nearly attained for small m, so the fraction sits an order of magnitude
 # below the 1e-10 relative accuracy the errors are meant to have.
 _ENERGY_TOLERANCE = 1e-11
+
+# Extra probe columns and power iterations of :func:`randomized_svd`.
+_OVERSAMPLE = 10
+_POWER_ITERS = 2
 
 
 class DegenerateBasisError(ValueError):
@@ -84,9 +88,14 @@ def check_column_set(columns: Sequence[int], n_cols: int) -> list[int]:
     return out
 
 
+def column_norms_sq(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms of the columns, without an m x n temporary."""
+    return np.einsum("ij,ij->j", a, a)
+
+
 def frobenius_sq(a: np.ndarray) -> float:
     """Squared Frobenius norm."""
-    return float(np.sum(a * a))
+    return float(np.sum(column_norms_sq(a)))
 
 
 def orthonormal_basis(a: np.ndarray, columns: Sequence[int]) -> np.ndarray:
@@ -103,28 +112,12 @@ def orthonormal_basis(a: np.ndarray, columns: Sequence[int]) -> np.ndarray:
     if len(cols) > m:
         raise DegenerateBasisError(cols[m:])
     q, r = np.linalg.qr(sub)
-    col_norms = np.sqrt(np.sum(sub * sub, axis=0))
+    col_norms = np.sqrt(column_norms_sq(sub))
     diag = np.abs(np.diag(r))
     bad = np.flatnonzero(diag <= RANK_TOLERANCE * col_norms)
     if bad.size:
         raise DegenerateBasisError([cols[j] for j in bad])
     return q
-
-
-def project_onto_columns(
-    a: np.ndarray, columns: Sequence[int], x: np.ndarray
-) -> np.ndarray:
-    """Project the columns of ``x`` onto the span of the selected columns of ``a``.
-
-    Computed via an orthogonal basis and a least-squares style solve; the
-    full projector matrix is never formed.
-    """
-    if x.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"row mismatch: matrix has {a.shape[0]} rows, input has {x.shape[0]}"
-        )
-    q = orthonormal_basis(a, columns)
-    return q @ (q.T @ x)
 
 
 def _projection_error(
@@ -171,13 +164,7 @@ class SvdResult:
     v: np.ndarray
 
 
-def randomized_svd(
-    a: np.ndarray,
-    k: int,
-    oversample: int = 10,
-    power_iters: int = 2,
-    seed: int = 0,
-) -> SvdResult:
+def randomized_svd(a: np.ndarray, k: int, seed: int = 0) -> SvdResult:
     """Randomized truncated SVD (range finder with power iterations).
 
     Deterministic for a fixed seed.  Used by evaluation metrics and
@@ -187,10 +174,10 @@ def randomized_svd(
     if k < 1 or k > min(m, n):
         raise ValueError(f"rank k must satisfy 1 <= k <= {min(m, n)}, got {k}")
     rng = np.random.default_rng(seed)
-    width = min(k + max(oversample, 0), min(m, n))
+    width = min(k + _OVERSAMPLE, min(m, n))
     probe = rng.standard_normal((n, width))
     q, _ = np.linalg.qr(a @ probe)
-    for _ in range(max(power_iters, 0)):
+    for _ in range(_POWER_ITERS):
         q, _ = np.linalg.qr(a.T @ q)
         q, _ = np.linalg.qr(a @ q)
     b = q.T @ a

@@ -12,7 +12,6 @@ from colsel import (
     naive_distributed_baseline,
     naive_generalized_oracle,
     partition_columns,
-    project_onto_columns,
     reconstruction_error,
     reduce_phase,
     relative_accuracy,
@@ -25,7 +24,9 @@ from instances import planted_partitioned, random_matrix
 def target_error(a, cols, b):
     if not cols:
         return frobenius_sq(b)
-    return frobenius_sq(b - project_onto_columns(a, cols, b))
+    sub = a[:, cols]
+    coef, *_ = np.linalg.lstsq(sub, b, rcond=None)
+    return frobenius_sq(b - sub @ coef)
 
 
 def gaussian_config(c, l, r, seed):
@@ -102,6 +103,29 @@ def test_reduce_single_partition_passthrough():
     selection, winners, data = reduce_phase([mapped], b, l=3)
     assert winners == mapped.global_indices
     assert np.array_equal(data, mapped.columns)
+
+
+def test_map_phase_without_target_is_greedy_on_the_block():
+    a = random_matrix(10, 14, seed=25)
+    part = partition_columns(a, 3, "round-robin")[1]
+    res = map_phase(part, None, l_b=3)
+    want = greedy_select(part.matrix, 3).indices
+    assert res.local_indices == want
+    assert res.global_indices == [int(part.global_indices[j]) for j in want]
+    assert np.array_equal(res.columns, part.matrix[:, want])
+
+
+def test_reduce_phase_without_target_is_greedy_on_the_union():
+    a = random_matrix(10, 18, seed=26)
+    mapped = [map_phase(p, None, l_b=3) for p in partition_columns(a, 3)]
+    selection, winners, data = reduce_phase(mapped, None, l=4)
+    union = np.asfortranarray(np.concatenate([r.columns for r in mapped], axis=1))
+    union_globals = [g for r in mapped for g in r.global_indices]
+    want = greedy_select(union, 4)
+    assert selection.indices == want.indices
+    assert selection.gains == want.gains
+    assert winners == [union_globals[j] for j in want.indices]
+    assert np.array_equal(data, union[:, want.indices])
 
 
 def test_reduce_rejects_duplicate_globals():
@@ -204,7 +228,7 @@ def test_distributed_report_accounting():
     cfg = gaussian_config(c=4, l=6, r=7, seed=1)
     report = distributed_select(a, cfg)
     assert report.columns_moved == sum(report.per_partition_picks)
-    assert report.columns_moved <= 4 * 2  # c * ceil(l/c)
+    assert report.columns_moved == 4 * 5  # c * min(l, partition width)
     assert report.broadcast_values == 4 * 13 * 7
     assert set(report.timings) == {"sketch", "map", "reduce", "total"}
     assert report.exact_error == pytest.approx(
@@ -221,7 +245,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DistributedConfig(partitions=2, budget=5, sketch=spec, per_partition_budget=2)
     cfg = DistributedConfig(partitions=4, budget=10, sketch=spec)
-    assert cfg.resolved_partition_budget() == 3
+    assert cfg.resolved_partition_budget() == 10
+    assert DistributedConfig(
+        partitions=4, budget=10, sketch=spec, per_partition_budget=3
+    ).resolved_partition_budget() == 3
     with pytest.raises(ValueError, match="requires a sketch"):
         distributed_select(random_matrix(4, 6, seed=0),
                            DistributedConfig(partitions=2, budget=2, sketch=None))
@@ -239,6 +266,22 @@ def test_naive_baseline_deterministic():
     a = random_matrix(9, 12, seed=24)
     cfg = DistributedConfig(partitions=3, budget=4, sketch=None)
     assert naive_distributed_baseline(a, cfg) == naive_distributed_baseline(a, cfg)
+
+
+@pytest.mark.parametrize("assignment", ["contiguous", "round-robin"])
+def test_naive_baseline_matches_written_out_reference(assignment):
+    a = random_matrix(12, 30, seed=27)
+    cfg = DistributedConfig(partitions=3, budget=6, sketch=None, assignment=assignment)
+    l_b = cfg.resolved_partition_budget()
+    # Greedy on each block, then greedy on the union of the picks.
+    union_globals, union_blocks = [], []
+    for part in partition_columns(a, 3, assignment):
+        res = greedy_select(part.matrix, min(l_b, part.matrix.shape[1]))
+        union_globals.extend(int(part.global_indices[j]) for j in res.indices)
+        union_blocks.append(part.matrix[:, res.indices])
+    union = np.asfortranarray(np.concatenate(union_blocks, axis=1))
+    final = greedy_select(union, min(6, union.shape[1]))
+    assert naive_distributed_baseline(a, cfg) == [union_globals[j] for j in final.indices]
 
 
 def test_planted_instance_distributed_beats_naive():

@@ -10,7 +10,6 @@ from colsel import (
     greedy_select,
     init_state,
     naive_generalized_oracle,
-    project_onto_columns,
     select_next,
 )
 from instances import random_matrix
@@ -19,7 +18,9 @@ from instances import random_matrix
 def target_error(a, cols, b):
     if not cols:
         return frobenius_sq(b)
-    return frobenius_sq(b - project_onto_columns(a, cols, b))
+    sub = a[:, cols]
+    coef, *_ = np.linalg.lstsq(sub, b, rcond=None)
+    return frobenius_sq(b - sub @ coef)
 
 
 def direct_generalized_scores(a, b, selected):

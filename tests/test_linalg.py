@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,18 @@ from colsel import (
     as_matrix,
     frobenius_sq,
     orthonormal_basis,
-    project_onto_columns,
     randomized_svd,
     reconstruction_error,
 )
 from colsel.evaluate import _tolerant_error
 from colsel.linalg import _projection_error
 from instances import badly_scaled_wide, random_matrix
+
+
+def project(a, cols, x):
+    """Projection of ``x`` onto the selected columns' span through their basis."""
+    q = orthonormal_basis(a, cols)
+    return q @ (q.T @ x)
 
 
 def normal_equation_projection(a, cols, x):
@@ -42,19 +49,19 @@ def test_as_matrix_rejects_bad_input():
 def test_project_coordinate_axes():
     eye = as_matrix(np.eye(2))
     assert_array_almost_equal(
-        project_onto_columns(eye, [0], eye), [[1.0, 0.0], [0.0, 0.0]]
+        project(eye, [0], eye), [[1.0, 0.0], [0.0, 0.0]]
     )
 
 
 def test_project_own_span_is_identity():
     a = as_matrix([[3.0], [4.0]])
-    assert_allclose(project_onto_columns(a, [0], a), a, rtol=1e-12)
+    assert_allclose(project(a, [0], a), a, rtol=1e-12)
 
 
 def test_project_matches_normal_equations():
     a = random_matrix(6, 4, seed=11)
     cols = [0, 2]
-    got = project_onto_columns(a, cols, a)
+    got = project(a, cols, a)
     want = normal_equation_projection(a, cols, a)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -62,7 +69,7 @@ def test_project_matches_normal_equations():
 def test_project_rejects_degenerate_basis():
     a = as_matrix(np.column_stack([np.ones(3), 2.0 * np.ones(3), np.arange(3.0)]))
     with pytest.raises(DegenerateBasisError) as err:
-        project_onto_columns(a, [0, 1], a)
+        project(a, [0, 1], a)
     assert 1 in err.value.indices
 
 
@@ -70,11 +77,23 @@ def test_project_rejects_degenerate_basis():
 def test_projection_idempotent_and_orthogonal_residual(seed):
     a = random_matrix(9, 7, seed=seed)
     cols = [0, 3, 5]
-    once = project_onto_columns(a, cols, a)
-    twice = project_onto_columns(a, cols, once)
+    once = project(a, cols, a)
+    twice = project(a, cols, once)
     assert np.linalg.norm(twice - once) <= 1e-10 * np.linalg.norm(once)
     residual = a - once
     assert abs(np.sum(residual * once)) <= 1e-9 * frobenius_sq(a)
+
+
+def test_frobenius_sq_needs_no_matrix_sized_temporary():
+    a = random_matrix(2000, 600, seed=9)  # 9.2 MiB of data
+    tracemalloc.start()
+    try:
+        got = frobenius_sq(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert got == pytest.approx(float(np.sum(a * a)), rel=1e-12)
 
 
 def test_reconstruction_error_empty_and_full():
@@ -97,7 +116,7 @@ def test_pythagoras_monotonicity_svd_floor(seed):
     scale = frobenius_sq(a)
     for cols in ([1], [1, 4], [1, 4, 6], [0, 1, 4, 6]):
         err = reconstruction_error(a, cols)
-        projected = project_onto_columns(a, cols, a)
+        projected = project(a, cols, a)
         assert err == pytest.approx(scale - frobenius_sq(projected), rel=1e-9)
         svals = np.linalg.svd(a, compute_uv=False)
         floor = float(np.sum(svals[len(cols):] ** 2))
@@ -140,7 +159,7 @@ def test_randomized_svd_deterministic():
 
 def test_randomized_svd_near_optimal_error():
     a = random_matrix(50, 40, seed=42)
-    res = randomized_svd(a, k=5, oversample=10, power_iters=2, seed=7)
+    res = randomized_svd(a, k=5, seed=7)
     approx = (res.u * res.singular_values) @ res.v.T
     err = np.linalg.norm(a - approx)
     svals = np.linalg.svd(a, compute_uv=False)
