@@ -41,8 +41,8 @@ __all__ = [
     "naive_generalized_oracle",
 ]
 
-# Exact dense SVD stays feasible up to this size; beyond it the metric
-# falls back to the randomized decomposition.
+# Up to this size the best-rank error comes from a dense SVD; beyond it,
+# from the eigenvalues of the smaller Gram matrix.
 EXACT_SVD_LIMIT = 512
 
 ORACLE_SIZE_LIMIT = 64
@@ -71,7 +71,11 @@ def _lstsq_error(a: np.ndarray, cols: list[int], target: np.ndarray) -> float:
 def best_rank_error(a: np.ndarray, rank: int, seed: int = 0) -> float:
     """Frobenius error of the best rank-``rank`` approximation.
 
-    Exact via dense SVD at small scale, randomized beyond EXACT_SVD_LIMIT.
+    Up to EXACT_SVD_LIMIT from the singular values of a dense SVD; beyond
+    it from the eigenvalues of the smaller Gram matrix (AAᵀ or AᵀA), which
+    are exact to rounding but square the conditioning, so that tail
+    eigenvalues below about eps·‖A‖₂² are lost.  Both are deterministic;
+    ``seed`` is accepted for compatibility and unused.
     """
     m, n = a.shape
     if rank >= min(m, n):
@@ -79,9 +83,10 @@ def best_rank_error(a: np.ndarray, rank: int, seed: int = 0) -> float:
     if min(m, n) <= EXACT_SVD_LIMIT:
         s = np.linalg.svd(a, compute_uv=False)
         return float(np.sqrt(np.sum(s[rank:] ** 2)))
-    res = randomized_svd(a, rank, seed=seed)
-    tail = frobenius_sq(a) - float(np.sum(res.singular_values**2))
-    return float(np.sqrt(max(tail, 0.0)))
+    gram = a @ a.T if m <= n else a.T @ a
+    # ascending, so the tail is the first min(m, n) - rank eigenvalues
+    tail = np.linalg.eigvalsh(gram)[: min(m, n) - rank]
+    return float(np.sqrt(np.sum(np.maximum(tail, 0.0))))
 
 
 def uniform_select(n: int, l: int, seed: int) -> list[int]:
@@ -120,7 +125,7 @@ def _accuracy(
         subset = [int(i) for i in rng.choice(n, size=l, replace=False)]
         uniform_errors.append(math.sqrt(_tolerant_error(a, subset, energy)))
     err_uniform = float(np.mean(uniform_errors))
-    err_best = best_rank_error(a, l, seed=derive_seed(seed, "svd-oracle"))
+    err_best = best_rank_error(a, l)
     denom = err_uniform - err_best
     if denom <= 1e-12 * math.sqrt(energy):
         raise MetricUndefinedError(

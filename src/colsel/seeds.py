@@ -1,24 +1,61 @@
-"""Deterministic sub-seed derivation.
+"""Deterministic sub-seed derivation and the counter-based mixer.
 
 A single master seed drives every stochastic component.  Sub-seeds are
-derived with a splitmix64-style mixer so that any consumer (a sketch row,
+derived with the splitmix64 finalizer so that any consumer (a sketch row,
 an evaluation trial, a nested SVD) can regenerate its stream from the
-master seed and a stable label, independent of call order.
+master seed and a stable label, independent of call order.  The same
+finalizer, vectorized over uint64 arrays, is the counter-based generator
+of the sketch rows (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC 2011).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# splitmix64 finalizer: xor-shift, multiply, xor-shift, multiply, xor-shift
+_S1, _M1, _S2, _M2, _S3 = 30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31
+
+
+def as_uint64(value: int) -> np.ndarray:
+    """``value`` as a 0-d uint64 array, the operand form of uint64 arithmetic.
+
+    Explicitly uint64, because numpy 1.x promotes uint64 combined with a
+    Python int scalar to float64; and a 0-d array, because a binary op with
+    a numpy scalar pays a scalar conversion on every call.
+    """
+    return np.array(value, dtype=np.uint64)
+
+
+_U_S1, _U_M1, _U_S2, _U_M2, _U_S3 = map(as_uint64, (_S1, _M1, _S2, _M2, _S3))
+_U_GOLDEN = as_uint64(_GOLDEN)
+_U_ONE = as_uint64(1)
 
 
 def _mix64(z: int) -> int:
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    z = ((z ^ (z >> _S1)) * _M1) & _MASK64
+    z = ((z ^ (z >> _S2)) * _M2) & _MASK64
+    return z ^ (z >> _S3)
+
+
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` of every element of a uint64 array, as a new array.
+
+    uint64 array arithmetic wraps modulo 2**64, which is the mask of the
+    scalar mixer.
+    """
+    z = z ^ (z >> _U_S1)
+    z *= _U_M1
+    z ^= z >> _U_S2
+    z *= _U_M2
+    z ^= z >> _U_S3
+    return z
 
 
 def _encode(part) -> int:
@@ -43,3 +80,26 @@ def column_seed(master: int, index: int) -> int:
     any partition or thread without materializing the projection matrix.
     """
     return _mix64((master + (index + 1) * _GOLDEN) & _MASK64)
+
+
+@functools.lru_cache(maxsize=8)
+def _counter_offsets(count: int) -> np.ndarray:
+    """``(j + 1) * GOLDEN`` modulo 2**64 for j in 0..count-1, read-only."""
+    offsets = np.arange(1, count + 1, dtype=np.uint64) * _U_GOLDEN
+    offsets.flags.writeable = False
+    return offsets
+
+
+def column_seeds(master: int, indices: np.ndarray) -> np.ndarray:
+    """:func:`column_seed` of every index in a nonnegative integer array."""
+    offsets = (indices.astype(np.uint64) + _U_ONE) * _U_GOLDEN
+    return mix64_array(as_uint64(master & _MASK64) + offsets)
+
+
+def counter_words(keys, count: int) -> np.ndarray:
+    """Counter-based stream words ``mix64(key + (j + 1) * GOLDEN)``, j < count.
+
+    ``keys`` is a 0-d uint64 array (one stream, of shape (count,)) or a
+    uint64 array whose last axis has length 1 (one stream per key).
+    """
+    return mix64_array(keys + _counter_offsets(count))

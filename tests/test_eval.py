@@ -269,21 +269,38 @@ def test_evaluate_selection_report():
     assert report.parameters == {"l": 4, "trials": 5}
 
 
-def test_best_rank_error_randomized_branch():
-    from colsel.evaluate import best_rank_error
-
-    a = random_matrix(30, 25, seed=19)
-    svals = np.linalg.svd(a, compute_uv=False)
-    exact = math.sqrt(float(np.sum(svals[4:] ** 2)))
-    assert best_rank_error(a, 4) == pytest.approx(exact, rel=1e-12)
-    # force the randomized path and require it stays near the exact value
+def test_best_rank_error_gram_branch():
     import colsel.evaluate as ev
 
-    old = ev.EXACT_SVD_LIMIT
-    ev.EXACT_SVD_LIMIT = 10
-    try:
-        approx = best_rank_error(a, 4, seed=3)
-    finally:
-        ev.EXACT_SVD_LIMIT = old
-    assert approx == pytest.approx(exact, rel=0.05)
-    assert approx >= exact - 1e-9
+    for shape in ((30, 25), (25, 30)):
+        a = random_matrix(*shape, seed=19)
+        svals = np.linalg.svd(a, compute_uv=False)
+        exact = math.sqrt(float(np.sum(svals[4:] ** 2)))
+        assert ev.best_rank_error(a, 4) == pytest.approx(exact, rel=1e-12)
+        # force the Gram-eigenvalue path: exact to rounding, and deterministic
+        old = ev.EXACT_SVD_LIMIT
+        ev.EXACT_SVD_LIMIT = 10
+        try:
+            gram = ev.best_rank_error(a, 4, seed=3)
+            assert ev.best_rank_error(a, 4, seed=4) == gram
+        finally:
+            ev.EXACT_SVD_LIMIT = old
+        assert gram == pytest.approx(exact, rel=1e-9)
+
+
+def test_best_rank_error_above_exact_limit():
+    from colsel.evaluate import EXACT_SVD_LIMIT, best_rank_error
+
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((520, 20)) @ rng.standard_normal((20, 600))
+    a += 1e-3 * rng.standard_normal(a.shape)
+    assert min(a.shape) > EXACT_SVD_LIMIT
+    svals = np.linalg.svd(a, compute_uv=False)
+    for rank in (5, 20):
+        exact = math.sqrt(float(np.sum(svals[rank:] ** 2)))
+        assert best_rank_error(a, rank) == pytest.approx(exact, rel=1e-9)
+    # the Gram route squares the conditioning: a tail far below the largest
+    # singular value is exact only to about eps * s_max^2 in its square
+    tail = float(svals[-1] ** 2)
+    got = best_rank_error(a, 519) ** 2
+    assert abs(got - tail) <= 10 * np.finfo(float).eps * svals[0] ** 2

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -14,6 +15,7 @@ from colsel import (
     sketch_row,
     uniform_select,
 )
+from colsel.seeds import _GOLDEN, _mix64, column_seed, column_seeds, mix64_array
 from instances import random_matrix
 
 
@@ -27,6 +29,27 @@ def split_contiguous(a, sizes):
         parts.append((a[:, start : start + size], list(range(start, start + size))))
         start += size
     return parts
+
+
+def reference_row(spec, index):
+    """Pure-Python projection row: word j is _mix64(key + (j+1)*GOLDEN)."""
+    r = spec.r
+    key = column_seed(spec.seed, index)
+    pairs = (r + 1) // 2
+    words = [_mix64(key + (j + 1) * _GOLDEN) for j in range(2 * pairs)]
+    if spec.kind == "sign":
+        return [(1.0 if w < 2**63 else -1.0) / math.sqrt(r) for w in words[:r]]
+    if spec.kind == "sparse-sign":
+        value = {0: math.sqrt(3.0), 5: -math.sqrt(3.0)}
+        return [value.get(((w >> 11) * 6) >> 53, 0.0) / math.sqrt(r) for w in words[:r]]
+    uniform = [((w >> 11) + 1) * 2.0**-53 for w in words]
+    row = [0.0] * (2 * pairs)
+    for k in range(pairs):
+        radius = math.sqrt(math.log(uniform[k]) * (-2.0 / r))
+        theta = uniform[pairs + k] * (2.0 * math.pi)
+        row[k] = radius * math.cos(theta)
+        row[pairs + k] = radius * math.sin(theta)
+    return row[:r]
 
 
 def test_spec_validation():
@@ -78,6 +101,95 @@ def test_row_statistics(kind):
     row = sketch_row(spec, 3) * np.sqrt(r)
     assert abs(row.mean()) <= 4.0 / np.sqrt(r)
     assert abs(row.var() - 1.0) <= 0.15
+
+
+def test_vectorized_mixer_matches_scalar_reference():
+    rng = np.random.default_rng(0)
+    z = rng.integers(0, 2**64, size=500, dtype=np.uint64, endpoint=False)
+    z[:3] = [0, 1, 2**64 - 1]
+    assert mix64_array(z).tolist() == [_mix64(int(v)) for v in z]
+    indices = np.array([0, 1, 127, 128, 5000, 2**40])
+    for master in (0, 7, 2**64 - 1, -3):
+        keys = column_seeds(master, indices)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [column_seed(master, int(i)) for i in indices]
+
+
+@pytest.mark.parametrize("kind", ["sign", "sparse-sign", "gaussian"])
+@pytest.mark.parametrize("r", [1, 7, 128])
+def test_rows_match_pure_python_reference(kind, r):
+    spec = SketchSpec(kind, r=r, seed=12345)
+    for index in (0, 1, 127, 128, 9999):
+        got = sketch_row(spec, index)
+        want = np.array(reference_row(spec, index))
+        if kind == "gaussian":
+            # numpy's log/cos/sin may differ from libm in the last few ulp
+            np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        else:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sign", "sparse-sign"])
+@pytest.mark.parametrize("r", [7, 128])
+def test_row_alone_equals_row_in_any_block(kind, r):
+    # an identity input makes each sketch row exactly one projection row, so
+    # every layout must reproduce sketch_row bit for bit: at group offsets
+    # 0/127/128, alone in a one-column partition, and spread round-robin
+    n = 300
+    eye = np.eye(n)
+    spec = SketchSpec(kind, r=r, seed=41)
+    alone = materialize(spec, n)
+    rest = [i for i in range(n) if i != 128]
+    layouts = {
+        "matrix": sketch_matrix(eye, spec),
+        "singleton": sketch_partitioned([(eye[:, [128]], [128]), (eye[:, rest], rest)], spec),
+        "round-robin": sketch_partitioned(
+            [(eye[:, p::3], list(range(p, n, 3))) for p in range(3)], spec
+        ),
+    }
+    for layout, got in layouts.items():
+        assert np.array_equal(got, alone), layout
+    for offset in (0, 127, 128, 255, 299):
+        assert np.array_equal(layouts["matrix"][offset], sketch_row(spec, offset))
+
+
+def stream_matrix(kind, n=4000, r=64, seed=2024):
+    """n projection rows, scale undone, for stream statistics."""
+    return materialize(SketchSpec(kind, r=r, seed=seed), n) * np.sqrt(r)
+
+
+def assert_uncorrelated(x):
+    # rows of adjacent column indices, and adjacent entries of one row
+    for u, v in ((x[:-1], x[1:]), (x[:, :-1], x[:, 1:])):
+        corr = np.corrcoef(u.ravel(), v.ravel())[0, 1]
+        assert abs(corr) <= 4.0 / np.sqrt(u.size)
+
+
+def test_sparse_sign_stream_statistics():
+    x = np.sign(stream_matrix("sparse-sign"))
+    total = x.size
+    for value, p in ((1.0, 1 / 6), (0.0, 2 / 3), (-1.0, 1 / 6)):
+        count = np.count_nonzero(x == value)
+        assert abs(count - p * total) <= 4.0 * math.sqrt(total * p * (1 - p)), value
+    assert_uncorrelated(x)
+
+
+def test_sign_stream_statistics():
+    x = np.sign(stream_matrix("sign"))
+    assert np.all(np.abs(x) == 1.0)
+    assert abs(x.sum()) <= 4.0 * math.sqrt(x.size)
+    assert_uncorrelated(x)
+
+
+def test_gaussian_stream_statistics():
+    x = stream_matrix("gaussian")
+    total = x.size
+    assert abs(x.mean()) <= 4.0 / math.sqrt(total)
+    # standard errors of the variance and the kurtosis of a standard normal
+    assert abs(x.var() - 1.0) <= 4.0 * math.sqrt(2.0 / total)
+    kurtosis = np.mean(x**4) / np.mean(x**2) ** 2
+    assert abs(kurtosis - 3.0) <= 4.0 * math.sqrt(24.0 / total)
+    assert_uncorrelated(x)
 
 
 def test_identity_sketch_reproduces_matrix():
