@@ -19,7 +19,7 @@ from . import evaluate
 from .distributed import DistributedConfig, distributed_select, naive_distributed_baseline
 from .generalized import generalized_select
 from .greedy import greedy_select
-from .linalg import DegenerateBasisError, _projection_error, reconstruction_error
+from .linalg import DegenerateBasisError, _projection_errors, reconstruction_error
 from .matrixio import FORMATS, MatrixFormatError, load_matrix, save_matrix
 from .seeds import derive_seed
 from .sketch import KINDS, SketchSpec, sketch_matrix
@@ -165,12 +165,13 @@ def _run(args) -> int:
         res = generalized_select(a, b, args.l)
         _write_lines([str(i) for i in res.indices], args.output)
         if args.summary:
+            f_value, fbar_value = _projection_errors(a, res.indices, [a, b])
             summary = RunSummary(
                 method="generalized",
                 parameters={"l": args.l, "seed": args.seed},
                 selected=res.indices,
-                f_value=reconstruction_error(a, res.indices),
-                fbar_value=_projection_error(a, res.indices, b),
+                f_value=f_value,
+                fbar_value=fbar_value,
                 exhausted=res.exhausted or res.target_reconstructed,
             )
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .greedy import SelectionResult, _select
-from .linalg import _projection_error, reconstruction_error
+from .linalg import _projection_errors
 from .sketch import SketchSpec, sketch_partitioned
 
 __all__ = [
@@ -228,10 +228,11 @@ def distributed_select(
     columns_moved = sum(picks)
     if columns_moved > config.partitions * l_b:
         raise AssertionError("map phase emitted more columns than its budget allows")
+    target_error, exact_error = _projection_errors(a, winners, [b, a])
     return DistributedReport(
         selected=winners,
-        target_error=_projection_error(a, winners, b),
-        exact_error=reconstruction_error(a, winners),
+        target_error=target_error,
+        exact_error=exact_error,
         per_partition_picks=picks,
         columns_moved=columns_moved,
         broadcast_values=config.partitions * a.shape[0] * config.sketch.r,

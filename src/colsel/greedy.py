@@ -8,29 +8,35 @@ matrix is ever materialized.
 This module owns the recursion for both plain and generalized selection.
 Generalized selection scores the source columns against the residual of a
 separate target; plain greedy is the case where the source is its own
-target, and then the Gram factors double as the cross factors.
+target.
 
 The initial scores are the squared column norms of ``C = B^T A``
 (``A^T A`` for plain greedy).  They come from ``C`` directly or from the
-Gram matrix ``B B^T``, whichever takes fewer flops, so for plain greedy on
-an m x n matrix they cost O(m n min(m, n)).  The Gram form can lose a score
-that is tiny next to ``||B||_F^2 ||a_i||^2``, as on badly scaled inputs;
-every score whose rounding bound is not small against its value is
-recomputed in the direct form.
+Gram matrix ``G = B B^T``, whichever takes fewer flops, so for plain greedy
+on an m x n matrix they cost O(m n min(m, n)).  The Gram form can lose a
+score that is tiny next to ``||B||_F^2 ||a_i||^2``, as on badly scaled
+inputs; every score whose rounding bound is not small against its value is
+recomputed in the direct form.  Whichever of ``C`` and ``G`` was formed is
+kept, and it decides how the steps run.
 
-With a c-column target (c = n for plain greedy), the step after k picks
-costs O(k (n + c)) flops for the stored factors, which are stacked so that
-each of their updates is one matrix-vector product.  When the direct form
-kept ``C``, the correlations with the new factor cost 2cn flops, and plain
-greedy reads the picked column's Gram column from ``C``, so its step never
-touches A; a separate target still pays 2mn for that Gram column.  Without
-``C`` the step makes three matrix-vector passes over A and B, O(m (n + c))
-flops.
+With ``C`` (the direct form), the steps work in column space.  A step
+after k picks with a c-column target (c = n for plain greedy) costs
+2cn + O(k (n + c)) flops: the stored factors are stacked so that each of
+their updates is one matrix-vector product, and plain greedy reads the
+picked column's Gram column from ``C``, so its step never touches A; a
+separate target still pays 2mn for that Gram column.
+
+With ``G`` (the Gram form, chosen when m is small next to n and c), the
+steps work in row space on an orthonormal basis Q of the picks.  The new
+pick's residual is orthogonalized against Q twice, which keeps it
+orthogonal to rounding ("twice is enough": Giraud, Langou & Rozložník,
+2005), and a step costs two passes over A plus O(m^2 + m k) flops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +47,7 @@ __all__ = ["SelectionState", "SelectionResult", "init_state", "select_next", "gr
 # Column block width of the block-wise Gram-form initial scores.
 _BLOCK = 128
 
-# A Gram-form initial score is recomputed in the direct form when its
+# A Gram-form quantity is recomputed from the target itself when its
 # a-posteriori rounding bound exceeds this fraction of the computed value.
 _GRAM_TOLERANCE = 1e-8
 
@@ -59,20 +65,27 @@ class SelectionState:
     """Mutable per-run state of the greedy selection.
 
     ``score_num[i] / score_den[i]`` is the decrease in reconstruction error
-    obtained by selecting column ``i`` next.  ``gram_factors`` is a k x n
-    array with one row per past selection; the outer products of its rows
-    sum to the explained part of the residual inner-product matrix, which is
-    all the recursions need to stay consistent without storing residuals.
-    ``cross_factors`` (k x c) mirrors it in a separate target's column
-    space, and is ``None`` when the source is its own target.  Both are
-    views of row buffers that double when full.
+    obtained by selecting column ``i`` next.  Exactly one of ``bta`` and
+    ``gram`` is set, by the form the initial scores took; their cost rule
+    forms ``C = B^T A`` (``A^T A`` for plain greedy) only when its c n
+    entries number at most m (c + n), as many as A and B hold together, and
+    ``G = B B^T`` otherwise, which then holds m^2 floats, under half of A.
 
-    ``bta`` is ``C = B^T A`` (``A^T A`` for plain greedy) when the initial
-    scores formed it, else ``None``; their cost rule forms it only when its
-    c n entries number at most m (c + n), as many as A and B hold together.
-    With ``C`` a step after k picks costs 2cn + O(k (n + c)) flops, plus 2mn
-    for the picked column's Gram column with a separate target; without it,
-    O((m + k) (n + c)).
+    With ``bta``, ``gram_factors`` is a k x n array with one row per past
+    selection; the outer products of its rows sum to the explained part of
+    the residual inner-product matrix, which is all the recursions need to
+    stay consistent without storing residuals.  ``cross_factors`` (k x c)
+    mirrors it in a separate target's column space, and is ``None`` when
+    the source is its own target.  A step after k picks costs
+    2cn + O(k (n + c)) flops, plus 2mn for the picked column's Gram column
+    with a separate target.
+
+    With ``gram``, ``basis`` is a k x m array whose orthonormal rows span
+    the selected columns, and the factors stay empty.  A step after k picks
+    makes two passes over A and costs O(m^2 + m k) flops besides.
+
+    The factors and the basis are views of row buffers that double when
+    full.
     """
 
     score_num: np.ndarray
@@ -80,8 +93,10 @@ class SelectionState:
     den_init: np.ndarray
     active: np.ndarray
     bta: np.ndarray | None
+    gram: np.ndarray | None
     gram_buffer: np.ndarray
     cross_buffer: np.ndarray | None
+    basis_buffer: np.ndarray
     selected: list[int] = field(default_factory=list)
     gains: list[float] = field(default_factory=list)
 
@@ -95,41 +110,51 @@ class SelectionState:
             return None
         return self.cross_buffer[: len(self.selected)]
 
+    @property
+    def basis(self) -> np.ndarray:
+        return self.basis_buffer[: len(self.selected)]
+
     def deactivate_spent(self) -> None:
         # A candidate whose residual squared norm fell below this fraction of
         # its original one would divide by a vanishing denominator.
         self.active &= self.score_den > RANK_TOLERANCE * self.den_init
 
 
+def _gram_rounding(gram: np.ndarray) -> float:
+    """eps * m * tr(G): bounds the rounding in ``x . G x`` per unit ``||x||^2``."""
+    return np.finfo(gram.dtype).eps * gram.shape[0] * np.trace(gram)
+
+
 def _cross_norms_sq(
     a: np.ndarray, b: np.ndarray, den: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Squared norms of the columns of ``b.T @ a``, and ``b.T @ a`` if formed.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Squared norms of the columns of ``b.T @ a``, with ``b.T @ a`` or ``b @ b.T``.
 
     ``den`` holds the squared column norms of ``a``.  With ``a`` m x n and
     ``b`` m x c, the direct form ``b.T @ a`` costs 2mnc flops and the Gram
-    form ``a_i . (b b.T) a_i`` costs 2m^2(c + n); the cheaper one is used.
-    Only the direct form returns the product.  The Gram form can lose a
-    score that is tiny next to ``||b||_F^2 ||a_i||^2``; such scores are
-    recomputed in the direct form.
+    form ``a_i . (b b.T) a_i`` costs 2m^2(c + n); the cheaper one is used,
+    and its matrix is returned in the second (direct) or third (Gram)
+    place.  The Gram form can lose a score that is tiny next to
+    ``||b||_F^2 ||a_i||^2``; such scores are recomputed in the direct form.
     """
     m, n = a.shape
     c = b.shape[1]
     if c * n <= m * (c + n):
         cross = b.T @ a
-        return column_norms_sq(cross), cross
+        return column_norms_sq(cross), cross, None
     out = np.empty(n)
     gram = b @ b.T
     for start in range(0, n, _BLOCK):
         cols = a[:, start:start + _BLOCK]
-        out[start:start + _BLOCK] = np.sum(cols * (gram @ cols), axis=0)
-    bound = np.finfo(a.dtype).eps * m * np.trace(gram) * den
+        # G is symmetric, so this is G @ cols, laid out like the columns.
+        out[start:start + _BLOCK] = np.einsum("ij,ij->j", cols, (cols.T @ gram).T)
+    bound = _gram_rounding(gram) * den
     redo = np.flatnonzero(bound > _GRAM_TOLERANCE * out)
     for start in range(0, redo.size, _BLOCK):
         idx = redo[start:start + _BLOCK]
         prod = b.T @ a[:, idx]
         out[idx] = np.sum(prod * prod, axis=0)
-    return out, None
+    return out, None, gram
 
 
 def init_state(a: np.ndarray, b: np.ndarray | None = None) -> SelectionState:
@@ -144,15 +169,17 @@ def init_state(a: np.ndarray, b: np.ndarray | None = None) -> SelectionState:
     den = column_norms_sq(a)
     if not np.any(den > 0.0):
         raise ValueError("matrix has no nonzero columns; nothing to select")
-    num, bta = _cross_norms_sq(a, a if b is None else b, den)
+    num, bta, gram = _cross_norms_sq(a, a if b is None else b, den)
     return SelectionState(
         score_num=num,
         score_den=den,
         den_init=den.copy(),
         active=den > 0.0,
         bta=bta,
+        gram=gram,
         gram_buffer=np.empty((0, a.shape[1])),
         cross_buffer=None if b is None else np.empty((0, b.shape[1])),
+        basis_buffer=np.empty((0, a.shape[0])),
     )
 
 
@@ -166,6 +193,93 @@ def _put_row(buffer: np.ndarray, k: int, row: np.ndarray) -> np.ndarray:
     return buffer
 
 
+def _pick(
+    state: SelectionState, pivot_of: Callable[[int], tuple[float, np.ndarray]]
+) -> tuple[int, float, np.ndarray]:
+    """Take the best active candidate whose pivot is not negligible, and record its gain.
+
+    ``pivot_of(p)`` returns candidate ``p``'s squared residual norm against
+    the current selection and the vector it came from; both are returned
+    with ``p``.
+    """
+    while True:
+        if not np.any(state.active):
+            raise ExhaustedError("no active candidate columns remain")
+        ratio = np.full(state.score_num.shape, -np.inf)
+        np.divide(state.score_num, state.score_den, out=ratio, where=state.active)
+        p = int(np.argmax(ratio))
+        pivot, vec = pivot_of(p)
+        if pivot > RANK_TOLERANCE * state.den_init[p]:
+            state.gains.append(float(state.score_num[p] / state.score_den[p]))
+            return p, pivot, vec
+        # The recursion kept the column's denominator above the tolerance,
+        # but the column is numerically dependent on the current selection.
+        state.active[p] = False
+
+
+def _column_space_step(state: SelectionState, a: np.ndarray, b: np.ndarray | None) -> int:
+    """One step on the stacked factors and the kept ``C = B^T A``."""
+    w = state.gram_factors
+    v = w if b is None else state.cross_factors
+    bta = state.bta
+    # Gram columns are read from C only when C is A^T A.  A target that is
+    # the source itself then takes the same arithmetic as plain greedy.
+    gram_from_bta = b is None or b is a
+
+    def gram_col(p: int) -> tuple[float, np.ndarray]:
+        col = (bta[:, p] if gram_from_bta else a.T @ a[:, p]) - w.T @ w[:, p]
+        return col[p], col
+
+    p, pivot, col = _pick(state, gram_col)
+    scale = np.sqrt(pivot)
+    w_new = col / scale
+    v_new = w_new if b is None else (bta[:, p] - v.T @ w[:, p]) / scale
+
+    corr = bta.T @ v_new
+    corr -= w.T @ (v @ v_new)
+    state.score_num = state.score_num - 2.0 * w_new * corr + (v_new @ v_new) * (w_new * w_new)
+    state.score_den = state.score_den - w_new * w_new
+
+    k = len(state.selected)
+    state.gram_buffer = _put_row(state.gram_buffer, k, w_new)
+    if b is not None:
+        state.cross_buffer = _put_row(state.cross_buffer, k, v_new)
+    return p
+
+
+def _row_space_step(state: SelectionState, a: np.ndarray, t: np.ndarray) -> int:
+    """One step on the basis Q of the picks and the kept ``G = T T^T``.
+
+    With u the new basis vector, ``w = A^T u`` and ``T^T u`` are the factors
+    the column-space step stores, and ``A^T (I - Q^T Q) G u`` its
+    correlations, so both steps update the scores alike.
+    """
+    q = state.basis
+    gram = state.gram
+
+    def residual(p: int) -> tuple[float, np.ndarray]:
+        r = a[:, p] - q.T @ (q @ a[:, p])
+        r -= q.T @ (q @ r)
+        return r @ r, r
+
+    p, pivot, r = _pick(state, residual)
+    u = r / np.sqrt(pivot)
+    g = gram @ u
+    vv = u @ g
+    # The initial scores' redo rule: G has lost this direction to rounding.
+    if _gram_rounding(gram) > _GRAM_TOLERANCE * vv:
+        tu = t.T @ u
+        g = t @ tu
+        vv = tu @ tu
+    # Two matrix-vector products read A faster than one with two columns.
+    w = a.T @ u
+    corr = a.T @ (g - q.T @ (q @ g))
+    state.score_num = state.score_num - 2.0 * w * corr + vv * (w * w)
+    state.score_den = state.score_den - w * w
+    state.basis_buffer = _put_row(state.basis_buffer, len(state.selected), u)
+    return p
+
+
 def select_next(state: SelectionState, a: np.ndarray, b: np.ndarray | None = None) -> int:
     """Select the best remaining column and update all candidate scores.
 
@@ -176,46 +290,12 @@ def select_next(state: SelectionState, a: np.ndarray, b: np.ndarray | None = Non
     next best one is taken; :class:`ExhaustedError` is raised once no
     active candidate remains.
     """
-    if (b is None) != (state.cross_factors is None):
+    if (b is None) != (state.cross_buffer is None):
         raise ValueError("select_next needs the same target that init_state was given")
-    w = state.gram_factors
-    v = w if b is None else state.cross_factors
-    bta = state.bta
-    # Gram columns are read from C only when C is A^T A.  A target that is
-    # the source itself then takes the same arithmetic as plain greedy.
-    gram_from_bta = bta is not None and (b is None or b is a)
-    while True:
-        if not np.any(state.active):
-            raise ExhaustedError("no active candidate columns remain")
-        ratio = np.full(state.score_num.shape, -np.inf)
-        np.divide(state.score_num, state.score_den, out=ratio, where=state.active)
-        p = int(np.argmax(ratio))
-        gram_col = (bta[:, p] if gram_from_bta else a.T @ a[:, p]) - w.T @ w[:, p]
-        pivot = gram_col[p]
-        if pivot > RANK_TOLERANCE * state.den_init[p]:
-            break
-        # The recursion kept the column's denominator above the tolerance,
-        # but the column is numerically dependent on the current selection.
-        state.active[p] = False
-    scale = np.sqrt(pivot)
-    w_new = gram_col / scale
-    if b is None:
-        v_new = w_new
+    if state.gram is None:
+        p = _column_space_step(state, a, b)
     else:
-        cross_col = bta[:, p] if bta is not None else b.T @ a[:, p]
-        v_new = (cross_col - v.T @ w[:, p]) / scale
-
-    state.gains.append(float(state.score_num[p] / state.score_den[p]))
-
-    corr = bta.T @ v_new if bta is not None else a.T @ ((a if b is None else b) @ v_new)
-    corr -= w.T @ (v @ v_new)
-    state.score_num = state.score_num - 2.0 * w_new * corr + (v_new @ v_new) * (w_new * w_new)
-    state.score_den = state.score_den - w_new * w_new
-
-    k = len(state.selected)
-    state.gram_buffer = _put_row(state.gram_buffer, k, w_new)
-    if b is not None:
-        state.cross_buffer = _put_row(state.cross_buffer, k, v_new)
+        p = _row_space_step(state, a, a if b is None else b)
     state.selected.append(p)
     state.active[p] = False
     state.deactivate_spent()

@@ -6,8 +6,9 @@ here are pure functions of their inputs.
 
 This module owns the projection error ``||T - P_S T||_F^2`` of a target
 ``T`` on a column set ``S``: :func:`reconstruction_error` (``T = A``), the
-pipeline's sketch error, the CLI summaries and the relative-accuracy metric
-all take it from :func:`_projection_error`.  The brute-force oracles in
+pipeline's errors, the CLI summaries and the relative-accuracy metric all
+take it from :func:`_projection_errors`, which serves several targets from
+one QR of the selection.  The brute-force oracles in
 :mod:`colsel.evaluate` keep their own ``lstsq`` route, so that they stay an
 independent check on it.
 """
@@ -120,6 +121,38 @@ def orthonormal_basis(a: np.ndarray, columns: Sequence[int]) -> np.ndarray:
     return q
 
 
+def _projection_errors(
+    a: np.ndarray,
+    columns: Sequence[int],
+    targets: Sequence[np.ndarray],
+    energies: Sequence[float] | None = None,
+) -> list[float]:
+    """Squared Frobenius errors of the targets after projection onto the selected columns.
+
+    One Householder QR of the selected columns gives Q for every target,
+    and each error is the energy form ``||T||^2 - ||Q^T T||^2``, which
+    costs one product Q^T T.  When its rounding bound ``eps * m * ||T||^2``
+    is not small against the result, the explicit residual
+    ``T - Q (Q^T T)`` is summed instead.  ``energies`` are the targets'
+    ``||T||_F^2`` when the caller already has them.  Raises
+    :class:`DegenerateBasisError` when the selected columns are numerically
+    rank deficient; the empty selection yields each ``||T||_F^2``.
+    """
+    if energies is None:
+        energies = [frobenius_sq(target) for target in targets]
+    if not check_column_set(columns, a.shape[1]):
+        return list(energies)
+    q = orthonormal_basis(a, columns)
+    errors = []
+    for target, energy in zip(targets, energies):
+        qt = q.T @ target
+        error = energy - frobenius_sq(qt)
+        if np.finfo(np.float64).eps * a.shape[0] * energy > _ENERGY_TOLERANCE * error:
+            error = frobenius_sq(target - q @ qt)
+        errors.append(error)
+    return errors
+
+
 def _projection_error(
     a: np.ndarray,
     columns: Sequence[int],
@@ -128,23 +161,10 @@ def _projection_error(
 ) -> float:
     """Squared Frobenius error of ``target`` after projection onto the selected columns.
 
-    One Householder QR of the selected columns gives Q, and the error is
-    the energy form ``||T||^2 - ||Q^T T||^2``, which costs one product
-    Q^T T.  When its rounding bound ``eps * m * ||T||^2`` is not small
-    against the result, the explicit residual ``T - Q (Q^T T)`` is summed
-    instead.  ``target_energy`` is ``||T||_F^2`` when the caller already has
-    it.  Raises :class:`DegenerateBasisError` when the selected columns are
-    numerically rank deficient; the empty selection yields ``||T||_F^2``.
+    The one-target case of :func:`_projection_errors`.
     """
-    energy = frobenius_sq(target) if target_energy is None else target_energy
-    if not check_column_set(columns, a.shape[1]):
-        return energy
-    q = orthonormal_basis(a, columns)
-    qt = q.T @ target
-    error = energy - frobenius_sq(qt)
-    if np.finfo(np.float64).eps * a.shape[0] * energy > _ENERGY_TOLERANCE * error:
-        error = frobenius_sq(target - q @ qt)
-    return error
+    energies = None if target_energy is None else [target_energy]
+    return _projection_errors(a, columns, [target], energies)[0]
 
 
 def reconstruction_error(a: np.ndarray, columns: Sequence[int]) -> float:

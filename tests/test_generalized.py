@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from colsel import (
@@ -12,7 +14,9 @@ from colsel import (
     naive_generalized_oracle,
     select_next,
 )
-from instances import random_matrix
+from colsel.greedy import EARLY_STOP_TOLERANCE, ExhaustedError
+from colsel.linalg import RANK_TOLERANCE
+from instances import badly_scaled_wide, random_matrix
 
 
 def target_error(a, cols, b):
@@ -103,17 +107,20 @@ def test_reduction_to_plain_greedy_is_exact_on_tall_input():
     "m, n, c", [(60, 80, 20), (60, 200, 150)], ids=["direct-keeps-bta", "gram-form"]
 )
 def test_step_paths_match_oracle_through_buffer_growth(m, n, c):
-    # c * n <= m * (c + n): the direct form keeps C = B^T A and the steps
-    # read the cross columns and correlations from it.  Otherwise the Gram
-    # form keeps no C.  A twin state on the other path must take the same
-    # picks.  45 steps grow the factor buffers from empty to 64 rows.
+    # c * n <= m * (c + n): the direct form keeps C = B^T A, and the steps
+    # stack n- and c-wide factors and read the cross columns and
+    # correlations from C.  Otherwise the Gram form keeps G = B B^T and the
+    # steps keep an m-wide basis of the picks.  A twin state swapped to the
+    # other path must take the same picks.  45 steps grow the buffers from
+    # empty to 64 rows.
     a = random_matrix(m, n, seed=m + n)
     b = random_matrix(m, c, seed=m + c + 1)
     kept = c * n <= m * (c + n)
     state = generalized_init(a, b)
     assert (state.bta is not None) == kept
+    assert (state.gram is None) == kept
     twin = generalized_init(a, b)
-    twin.bta = None if kept else b.T @ a
+    twin.bta, twin.gram = (None, b @ b.T) if kept else (b.T @ a, None)
     for _ in range(45):
         p = select_next(state, a, b)
         assert select_next(twin, a, b) == p
@@ -122,8 +129,29 @@ def test_step_paths_match_oracle_through_buffer_growth(m, n, c):
         assert_allclose(state.score_num[act], num[act], rtol=1e-8)
         assert_allclose(state.score_den[act], den[act], rtol=1e-8)
         assert_allclose(twin.score_num[act], num[act], rtol=1e-8)
-    assert state.gram_factors.shape == (45, n)
-    assert state.cross_factors.shape == (45, c)
+    column_space, row_space = (state, twin) if kept else (twin, state)
+    assert column_space.gram_factors.shape == (45, n)
+    assert column_space.cross_factors.shape == (45, c)
+    assert column_space.basis.shape == (0, m)
+    assert row_space.basis.shape == (45, m)
+    assert row_space.gram_factors.shape == (0, n)
+    assert row_space.cross_factors.shape == (0, c)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_badly_scaled_gram_form_target_matches_oracle(seed):
+    # The target mixes the 1e6-norm columns down by 1e-3 and the 1e-3-norm
+    # ones up by 1e3.  c * n > m * (c + n), so the scores take the Gram form
+    # B B^T, which loses the small block's directions to rounding; the steps
+    # must then form G u from B itself.
+    a = badly_scaled_wide(seed=8 + seed)
+    rng = np.random.default_rng(seed)
+    b = as_matrix(np.hstack([
+        a[:, :4] @ rng.standard_normal((4, 20)) * 1e-3,
+        a[:, 4:] @ rng.standard_normal((60, 20)) * 1e3,
+    ]))
+    assert generalized_init(a, b).gram is not None
+    assert generalized_select(a, b, 10).indices == naive_generalized_oracle(a, b, 10).indices
 
 
 def test_single_column_target_selects_that_column():
@@ -181,3 +209,91 @@ def test_early_stop_when_target_inside_small_span():
     assert res.target_reconstructed
     assert 2 <= len(res.indices) <= 3
     assert target_error(a, res.indices, b) <= 1e-9 * frobenius_sq(b)
+
+
+@st.composite
+def gram_form_cases(draw):
+    """(a, b) whose initial scores take the Gram form; b is None for plain greedy.
+
+    Plain greedy needs n > 2m, and a c-column target c n > m (c + n), which
+    every c >= 2m meets once n > 2m.
+    """
+    kind = draw(st.sampled_from(["rank-deficient", "duplicate-column", "badly-scaled"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(4, 16))
+    n = draw(st.integers(2 * m + 1, 4 * m))
+    k = draw(st.integers(1, m - 1))
+    if kind == "rank-deficient":
+        a = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
+    elif kind == "duplicate-column":
+        base = rng.standard_normal((m, n - n // 2))
+        a = np.hstack([base, base[:, : n // 2]])
+    else:
+        # k columns of norm 1e6 to 2e6, the rest of norm 1e-3 and orthogonal to them
+        a = badly_scaled_wide(m=m, n=n, k=k, seed=int(rng.integers(1000)))
+    if not draw(st.booleans()):
+        return as_matrix(a), None
+    c = draw(st.integers(2 * m, 3 * m))
+    if kind == "badly-scaled":
+        # as in the regression test above: G loses the small block's directions
+        b = np.hstack([
+            a[:, :k] @ rng.standard_normal((k, c // 2)) * 1e-3,
+            a[:, k:] @ rng.standard_normal((n - k, c - c // 2)) * 1e3,
+        ])
+    else:
+        b = a @ rng.standard_normal((n, c))
+    if draw(st.booleans()):
+        b = b + rng.standard_normal((m, c)) * np.linalg.norm(b) / np.sqrt(m * c)
+    return as_matrix(a), as_matrix(b)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(gram_form_cases())
+def test_gram_path_matches_direct_twin_and_oracle(case):
+    # The row-space steps on G pick as a twin swapped to the column-space
+    # steps on C does, and as the explicit residuals do, until they run out
+    # of independent columns.  Picks may differ only where the explicit
+    # residuals tie: between duplicate columns, and once one residual
+    # direction is left, where every candidate gains the same.
+    a, b = case
+    t = a if b is None else b
+    state = init_state(a, b)
+    assert state.gram is not None
+    twin = init_state(a, b)
+    twin.bta, twin.gram = t.T @ a, None
+    energy = frobenius_sq(t)
+    eps = np.finfo(np.float64).eps
+    num, den = direct_generalized_scores(a, t, [])
+    for k in range(1, a.shape[1] + 1):
+        act = state.active
+        if b is not None and np.any(act) and (
+            state.score_num[act].max() <= EARLY_STOP_TOLERANCE * energy * state.score_den[act].max()
+        ):
+            break  # the early stop of generalized_select
+        ratio = np.full(a.shape[1], -np.inf)
+        live = den > RANK_TOLERANCE * state.den_init
+        live[state.selected] = False
+        ratio[live] = num[live] / den[live]
+        try:
+            p = select_next(state, a, b)
+        except ExhaustedError:
+            # Only once every remaining column is spent.  The twin is not
+            # stepped on: its pivot comes from the recursion and can still
+            # accept a dependent column here.
+            assert np.all(den[live] <= 1e-8 * state.den_init[live])
+            break
+        q = select_next(twin, a, b)
+        best = ratio.max()
+        assert np.isfinite(best)
+        assert ratio[p] >= (1.0 - 1e-8) * best
+        assert q == p or ratio[q] >= (1.0 - 1e-8) * best
+        num, den = direct_generalized_scores(a, t, state.selected)
+        act = state.active
+        # The subtractive updates leave about k m eps of the scores' scale;
+        # relative errors grow past 1e-8 on both paths once a score falls
+        # far below that scale.
+        floor = k * a.shape[0] * eps * state.den_init[act]
+        assert np.all(np.abs(state.score_num[act] - num[act]) <= 1e-8 * num[act] + energy * floor)
+        assert np.all(np.abs(state.score_den[act] - den[act]) <= 1e-8 * den[act] + floor)
+    else:
+        pytest.fail("selection ran past the column count")

@@ -208,15 +208,17 @@ def test_score_consistency_and_telescoping(seed):
 
 @pytest.mark.parametrize("m, n", [(90, 60), (50, 120)], ids=["tall", "wide"])
 def test_step_paths_match_oracle_through_buffer_growth(m, n):
-    # Tall inputs keep C = A^T A from the initial scores and read the steps'
-    # Gram columns from it; wide ones take the Gram form and keep no C.  A
-    # twin state on the other path must take the same picks.  45 steps grow
-    # the factor buffers from empty to 64 rows.
+    # Tall inputs keep C = A^T A from the initial scores and stack n-wide
+    # factors; wide ones keep G = A A^T and an m-wide basis of the picks.
+    # A twin state swapped to the other path must take the same picks.  45
+    # steps grow the buffers from empty to 64 rows.
     a = random_matrix(m, n, seed=m + n)
     state = init_state(a)
-    assert (state.bta is not None) == (n < m)
+    direct = n < m
+    assert (state.bta is not None) == direct
+    assert (state.gram is None) == direct
     twin = init_state(a)
-    twin.bta = None if n < m else a.T @ a
+    twin.bta, twin.gram = (None, a @ a.T) if direct else (a.T @ a, None)
     for _ in range(45):
         p = select_next(state, a)
         assert select_next(twin, a) == p
@@ -225,7 +227,11 @@ def test_step_paths_match_oracle_through_buffer_growth(m, n):
         assert_allclose(state.score_num[act], num[act], rtol=1e-8)
         assert_allclose(state.score_den[act], den[act], rtol=1e-8)
         assert_allclose(twin.score_num[act], num[act], rtol=1e-8)
-    assert state.gram_factors.shape == (45, n)
+    column_space, row_space = (state, twin) if direct else (twin, state)
+    assert column_space.gram_factors.shape == (45, n)
+    assert column_space.basis.shape == (0, m)
+    assert row_space.basis.shape == (45, m)
+    assert row_space.gram_factors.shape == (0, n)
     assert state.cross_factors is None
 
 

@@ -15,7 +15,7 @@ from colsel import (
     reconstruction_error,
 )
 from colsel.evaluate import _tolerant_error
-from colsel.linalg import _projection_error
+from colsel.linalg import _projection_error, _projection_errors
 from instances import badly_scaled_wide, random_matrix
 
 
@@ -100,6 +100,17 @@ def test_reconstruction_error_empty_and_full():
     a = random_matrix(5, 4, seed=3)
     assert reconstruction_error(a, []) == pytest.approx(frobenius_sq(a))
     assert reconstruction_error(a, [0, 1, 2, 3]) <= 1e-9 * frobenius_sq(a)
+
+
+@pytest.mark.parametrize("cols", [[], [0, 3, 5]], ids=["empty", "three"])
+def test_projection_errors_share_one_basis_bit_for_bit(cols):
+    # One QR serves both targets and gives the errors of two separate calls.
+    a = random_matrix(9, 12, seed=23)
+    b = random_matrix(9, 4, seed=24)
+    assert _projection_errors(a, cols, [b, a]) == [
+        _projection_error(a, cols, b),
+        reconstruction_error(a, cols),
+    ]
 
 
 def test_reconstruction_error_single_column_oracle():
