@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 
 import colsel
-from colsel import relative_accuracy, save_matrix
+from colsel import (
+    SketchSpec,
+    derive_seed,
+    generalized_select,
+    greedy_select,
+    reconstruction_error,
+    relative_accuracy,
+    save_matrix,
+    sketch_matrix,
+    uniform_select,
+)
 from colsel.cli import main
 from instances import planted_lowrank, random_matrix
 
@@ -139,6 +149,72 @@ def test_summary_document(tmp_path, capsys):
     assert [int(v) for v in written] == doc["selected"]
 
 
+def _lstsq_error(a, cols, target):
+    coef, *_ = np.linalg.lstsq(a[:, cols], target, rcond=None)
+    residual = target - a[:, cols] @ coef
+    return float(np.sum(residual * residual))
+
+
+@pytest.mark.parametrize("command", ["select", "select-gen", "sketch", "baseline", "eval"])
+def test_summary_of_each_subcommand(tmp_path, capsys, command):
+    a = random_matrix(12, 16, seed=41)
+    b = random_matrix(12, 5, seed=42)
+    path, target = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_matrix(a, path, "csv")
+    save_matrix(b, target, "csv")
+    idx = tmp_path / "idx.txt"
+    idx.write_text("3\n0\n9\n4\n")
+    summary = tmp_path / "run.json"
+    common = ["--input", str(path), "--seed", "5", "--summary", str(summary)]
+    base = {"f_value": None, "fbar_value": None, "relative_accuracy": None,
+            "columns_moved": None, "exhausted": False}
+    if command == "select":
+        argv = ["select", *common, "--l", "4"]
+        picks = greedy_select(a, 4).indices
+        want = {**base, "method": "greedy", "parameters": {"l": 4, "seed": 5},
+                "selected": picks, "f_value": reconstruction_error(a, picks)}
+    elif command == "select-gen":
+        argv = ["select-gen", *common, "--l", "4", "--target", str(target)]
+        picks = generalized_select(a, b, 4).indices
+        want = {**base, "method": "generalized", "parameters": {"l": 4, "seed": 5},
+                "selected": picks, "f_value": reconstruction_error(a, picks)}
+    elif command == "sketch":
+        argv = ["sketch", *common, "--sketch", "gaussian", "--r", "6"]
+        want = {**base, "method": "sketch",
+                "parameters": {"r": 6, "sketch": "gaussian", "seed": 5}, "selected": []}
+    elif command == "baseline":
+        argv = ["baseline", "uniform", *common, "--l", "4"]
+        picks = uniform_select(16, 4, 5)
+        want = {**base, "method": "baseline-uniform",
+                "parameters": {"l": 4, "seed": 5, "method": "uniform"},
+                "selected": picks, "f_value": reconstruction_error(a, picks)}
+    else:
+        argv = ["eval", *common, "--trials", "5", "--indices", str(idx)]
+        picks = [3, 0, 9, 4]
+        want = {**base, "method": "eval",
+                "parameters": {"l": 4, "trials": 5, "seed": 5},
+                "selected": picks, "f_value": reconstruction_error(a, picks),
+                "relative_accuracy": relative_accuracy(a, picks, uniform_trials=5, seed=5)}
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    doc = json.loads(summary.read_text())
+    timings = doc.pop("timings")
+    if command == "select-gen":
+        assert doc.pop("fbar_value") == pytest.approx(_lstsq_error(a, picks, b), rel=1e-9)
+        want.pop("fbar_value")
+    assert doc == want
+    assert set(timings) == ({"eval", "total"} if command == "eval" else {"total"})
+    assert all(value >= 0.0 for value in timings.values())
+    if command == "sketch":
+        spec = SketchSpec("gaussian", r=6, seed=derive_seed(5, "sketch"))
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()]
+        assert np.array_equal(np.array(rows), sketch_matrix(a, spec))
+    elif command == "eval":
+        assert float(out) == want["relative_accuracy"]
+    else:
+        assert [int(v) for v in out.split()] == picks
+
+
 def test_cli_determinism(tmp_path, capsys):
     a = random_matrix(15, 22, seed=23)
     path = tmp_path / "a.csv"
@@ -186,6 +262,11 @@ def test_data_errors_exit_3(tmp_path, eye3_csv, capsys):
     capsys.readouterr()
     assert main(["select", "--input", str(tmp_path / "missing.csv"), "--l", "1"]) == 3
     capsys.readouterr()
+    idx = tmp_path / "idx.txt"
+    for bad_indices in ("0\n0\n", "0\n3\n", "-1\n"):  # duplicate, out of range
+        idx.write_text(bad_indices)
+        assert main(["eval", "--input", eye3_csv, "--indices", str(idx)]) == 3
+        assert "column ind" in capsys.readouterr().err
 
 
 def test_degeneracy_exit_4(tmp_path, capsys):

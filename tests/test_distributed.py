@@ -146,6 +146,20 @@ def test_reduce_rejects_duplicate_globals():
         reduce_phase([res, dup], random_matrix(6, 2, seed=13), l=2)
 
 
+def test_reduce_rejects_an_empty_union():
+    with pytest.raises(ValueError, match="at least one"):
+        reduce_phase([], None, l=2)
+    # a target orthogonal to the block: the map phase emits no columns
+    block = np.zeros((4, 3), order="F")
+    block[:2] = random_matrix(2, 3, seed=28)
+    b = np.zeros((4, 2), order="F")
+    b[2:] = random_matrix(2, 2, seed=29)
+    mapped = map_phase(Partition(pid=0, matrix=block, global_indices=np.arange(3)), b, l_b=2)
+    assert mapped.global_indices == []
+    with pytest.raises(ValueError, match="no candidate columns"):
+        reduce_phase([mapped], b, l=2)
+
+
 def test_reduce_full_union_beats_any_single_partition():
     a = random_matrix(15, 18, seed=14)
     b = sketch_matrix(a, SketchSpec("gaussian", r=6, seed=15))
@@ -242,6 +256,8 @@ def test_config_validation():
         DistributedConfig(partitions=0, budget=3, sketch=spec)
     with pytest.raises(ValueError):
         DistributedConfig(partitions=2, budget=0, sketch=spec)
+    with pytest.raises(ValueError, match="unknown assignment"):
+        DistributedConfig(partitions=2, budget=3, sketch=spec, assignment="striped")
     with pytest.raises(ValueError):
         DistributedConfig(partitions=2, budget=5, sketch=spec, per_partition_budget=2)
     cfg = DistributedConfig(partitions=4, budget=10, sketch=spec)

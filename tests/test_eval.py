@@ -108,6 +108,16 @@ def test_relative_accuracy_with_dependent_uniform_draws(make):
     assert got == pytest.approx(want, rel=1e-10)
 
 
+def test_relative_accuracy_rejects_bad_column_sets():
+    a = random_matrix(6, 5, seed=30)
+    with pytest.raises(ValueError, match="distinct"):
+        relative_accuracy(a, [0, 0])
+    with pytest.raises(ValueError, match="out of range"):
+        relative_accuracy(a, [0, 5])
+    with pytest.raises(ValueError, match="out of range"):
+        relative_accuracy(a, [-1])
+
+
 def test_relative_accuracy_undefined_when_uniform_is_optimal():
     a = as_matrix(np.eye(3))
     with pytest.raises(MetricUndefinedError):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -46,9 +48,19 @@ def test_coordinate_errors(tmp_path):
     path.write_text("2 2 3\n0 1 3.5\n")
     with pytest.raises(MatrixFormatError, match="expected 3 entries"):
         load_matrix(path, "coordinate")
-    path.write_text("nope\n")
-    with pytest.raises(MatrixFormatError):
-        load_matrix(path, "coordinate")
+    for text, message in [
+        ("nope\n", "header must be"),
+        ("\n\n", "missing header"),
+        ("2 x 1\n0 1 3.5\n", "non-integer header"),
+        ("0 2 0\n", "invalid header dimensions"),
+        ("2 2 -1\n", "invalid header dimensions"),
+        ("2 2 1\n0 1\n", "entry must be"),
+        ("2 2 1\n0 a 3.5\n", "non-integer indices"),
+        ("2 2 1\n0 1 nan\n", "non-finite"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(MatrixFormatError, match=message):
+            load_matrix(path, "coordinate")
 
 
 def test_binary_round_trip_bit_identical(tmp_path):
@@ -76,6 +88,12 @@ def test_binary_rejects_corruption(tmp_path):
     save_matrix(a, path, "binary")
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(MatrixFormatError, match="payload"):
+        load_matrix(path, "binary")
+    path.write_bytes(MAGIC + struct.pack("<QQ", 0, 2))
+    with pytest.raises(MatrixFormatError, match="invalid dimensions"):
+        load_matrix(path, "binary")
+    path.write_bytes(MAGIC + struct.pack("<QQ", 1, 2) + struct.pack("<2d", 1.0, np.inf))
+    with pytest.raises(MatrixFormatError, match="non-finite"):
         load_matrix(path, "binary")
 
 

@@ -57,6 +57,8 @@ def test_spec_validation():
         SketchSpec("fourier", r=4)
     with pytest.raises(ValueError):
         SketchSpec("gaussian", r=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sketch_row(SketchSpec("gaussian", r=4), -1)
 
 
 def test_identity_rows_are_basis_vectors():
@@ -283,6 +285,8 @@ def test_partitioned_validation():
         )
     with pytest.raises(ValueError, match="tile"):
         sketch_partitioned([(a[:, :4], [0, 1, 2, 5])], spec)
+    with pytest.raises(ValueError, match="width"):
+        sketch_partitioned([(a, [0, 1, 2, 3, 4, 5, 6])], spec)
     with pytest.raises(ValueError, match="row counts"):
         sketch_partitioned(
             [(a[:, :4], [0, 1, 2, 3]), (a[:2, 4:], [4, 5, 6, 7])], spec
