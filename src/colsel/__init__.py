@@ -12,7 +12,6 @@ from .distributed import (
     reduce_phase,
 )
 from .evaluate import (
-    EvalReport,
     MetricUndefinedError,
     evaluate_selection,
     hybrid_select,
@@ -55,7 +54,6 @@ __all__ = [
     "naive_distributed_baseline",
     "partition_columns",
     "reduce_phase",
-    "EvalReport",
     "MetricUndefinedError",
     "evaluate_selection",
     "hybrid_select",

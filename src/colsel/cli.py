@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import evaluate
+from . import distributed, evaluate
 from .distributed import DistributedConfig, distributed_select, naive_distributed_baseline
 from .generalized import generalized_select
 from .greedy import greedy_select
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--sketch", default="gaussian", choices=KINDS)
     dist.add_argument("--partitions", type=int, default=1)
     dist.add_argument("--assignment", default="contiguous",
-                      choices=("contiguous", "round-robin"))
+                      choices=distributed.ASSIGNMENTS)
     dist.add_argument("--threads", type=int, default=None,
                       help="must be >= 1 but no longer changes the run: the map phase "
                            "runs on one thread, which measured faster than a pool on 2 cores")
@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="singular-vector count for sketch-svd (default: l)")
     base.add_argument("--partitions", type=int, default=1)
     base.add_argument("--assignment", default="contiguous",
-                      choices=("contiguous", "round-robin"))
+                      choices=distributed.ASSIGNMENTS)
     base.add_argument("--trials", type=int, default=10)
 
     ev = common(sub.add_parser("eval", help="relative accuracy of an index list"))
@@ -235,18 +235,20 @@ def _run(args) -> int:
             raise ValueError(
                 f"--l {args.l} does not match the {len(indices)} provided indices"
             )
-        report = evaluate.evaluate_selection(
+        started = time.perf_counter()
+        error, accuracy = evaluate.evaluate_selection(
             a, indices, uniform_trials=args.trials, seed=args.seed
         )
-        _write_lines([f"{report.accuracy:.17g}"], args.output)
+        duration = time.perf_counter() - started
+        _write_lines([f"{accuracy:.17g}"], args.output)
         if args.summary:
             summary = RunSummary(
                 method="eval",
-                parameters={**report.parameters, "seed": report.seed},
-                selected=report.indices,
-                f_value=report.error,
-                relative_accuracy=report.accuracy,
-                timings={"eval": report.duration},
+                parameters={"l": len(indices), "trials": args.trials, "seed": args.seed},
+                selected=indices,
+                f_value=error,
+                relative_accuracy=accuracy,
+                timings={"eval": duration},
             )
 
     if summary is not None:

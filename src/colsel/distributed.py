@@ -15,7 +15,7 @@ the union.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ ASSIGNMENTS = ("contiguous", "round-robin")
 
 @dataclass(frozen=True)
 class DistributedConfig:
-    """Partitioning, budgets and sketch parameters for one pipeline run.
+    """Partitioning, budget and sketch parameters for one pipeline run.
 
     The sketch may be omitted only for the naive baseline, which never
     builds a shared target.
@@ -50,7 +50,6 @@ class DistributedConfig:
     budget: int
     sketch: SketchSpec | None
     assignment: str = "contiguous"
-    per_partition_budget: int | None = None
 
     def __post_init__(self):
         if self.partitions < 1:
@@ -61,21 +60,10 @@ class DistributedConfig:
             raise ValueError(
                 f"unknown assignment {self.assignment!r}, expected one of {ASSIGNMENTS}"
             )
-        if (
-            self.per_partition_budget is not None
-            and self.partitions * self.per_partition_budget < self.budget
-        ):
-            raise ValueError(
-                "per-partition budget too small: the union of picks could not "
-                f"reach the global budget ({self.partitions} * "
-                f"{self.per_partition_budget} < {self.budget})"
-            )
 
     def resolved_partition_budget(self) -> int:
         # As in the paper, every partition selects up to the global budget, so
         # the reduce step chooses among up to c * l candidates.
-        if self.per_partition_budget is not None:
-            return self.per_partition_budget
         return self.budget
 
 
@@ -93,7 +81,6 @@ class PartitionResult:
     """Columns one partition emits to the reduce phase."""
 
     pid: int
-    local_indices: list[int]
     global_indices: list[int]
     columns: np.ndarray
 
@@ -132,7 +119,6 @@ def map_phase(partition: Partition, b: np.ndarray | None, l_b: int) -> Partition
     res = _select(partition.matrix, b, min(l_b, width))
     return PartitionResult(
         pid=partition.pid,
-        local_indices=list(res.indices),
         global_indices=[int(partition.global_indices[j]) for j in res.indices],
         columns=np.asfortranarray(partition.matrix[:, res.indices]),
     )
@@ -167,12 +153,7 @@ def reduce_phase(
     k = candidates.shape[1]
     selection = _select(candidates, b, min(l, k))
     if k < l:
-        selection = SelectionResult(
-            indices=selection.indices,
-            gains=selection.gains,
-            exhausted=True,
-            target_reconstructed=selection.target_reconstructed,
-        )
+        selection = replace(selection, exhausted=True)
     winners = [union_globals[j] for j in selection.indices]
     data = np.asfortranarray(candidates[:, selection.indices])
     return selection, winners, data
@@ -191,7 +172,6 @@ class DistributedReport:
     selected: list[int]
     target_error: float
     exact_error: float
-    per_partition_picks: list[int]
     columns_moved: int
     broadcast_values: int
     reduce_exhausted: bool
@@ -224,8 +204,7 @@ def distributed_select(
     selection, winners, _ = reduce_phase(map_results, b, config.budget)
     t_reduce = time.perf_counter()
 
-    picks = [len(r.global_indices) for r in map_results]
-    columns_moved = sum(picks)
+    columns_moved = sum(len(r.global_indices) for r in map_results)
     if columns_moved > config.partitions * l_b:
         raise AssertionError("map phase emitted more columns than its budget allows")
     target_error, exact_error = _projection_errors(a, winners, [b, a])
@@ -233,7 +212,6 @@ def distributed_select(
         selected=winners,
         target_error=target_error,
         exact_error=exact_error,
-        per_partition_picks=picks,
         columns_moved=columns_moved,
         broadcast_values=config.partitions * a.shape[0] * config.sketch.r,
         reduce_exhausted=selection.exhausted,

@@ -12,8 +12,6 @@ an independent route, and are guarded to test-scale inputs.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +28,6 @@ from .linalg import (
 from .seeds import derive_seed
 
 __all__ = [
-    "EvalReport",
     "MetricUndefinedError",
     "evaluate_selection",
     "relative_accuracy",
@@ -289,39 +286,18 @@ def naive_generalized_oracle(a: np.ndarray, b: np.ndarray, l: int) -> SelectionR
     )
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Outcome of evaluating one selection on one matrix."""
-
-    indices: list[int]
-    error: float
-    accuracy: float | None
-    duration: float
-    seed: int
-    parameters: dict = field(default_factory=dict)
-
-
 def evaluate_selection(
     a: np.ndarray,
     indices,
     uniform_trials: int = 10,
     seed: int = 0,
-) -> EvalReport:
-    """Package a selection's error and relative accuracy into a report.
+) -> tuple[float, float]:
+    """A selection's squared error and its relative accuracy, as ``(error, accuracy)``.
 
     Unlike :func:`relative_accuracy`, the selection's error is strict:
     dependent selected columns raise :class:`DegenerateBasisError`.
     """
-    started = time.perf_counter()
     cols = check_column_set(indices, a.shape[1])
     energy = frobenius_sq(a)
     error = _projection_error(a, cols, a, energy)
-    accuracy = _accuracy(a, len(cols), error, energy, uniform_trials, seed)
-    return EvalReport(
-        indices=[int(i) for i in indices],
-        error=error,
-        accuracy=accuracy,
-        duration=time.perf_counter() - started,
-        seed=seed,
-        parameters={"l": len(indices), "trials": uniform_trials},
-    )
+    return error, _accuracy(a, len(cols), error, energy, uniform_trials, seed)

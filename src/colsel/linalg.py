@@ -187,8 +187,9 @@ class SvdResult:
 def randomized_svd(a: np.ndarray, k: int, seed: int = 0) -> SvdResult:
     """Randomized truncated SVD (range finder with power iterations).
 
-    Deterministic for a fixed seed.  Used by evaluation metrics and
-    baselines when an exact decomposition would be too expensive.
+    Deterministic for a fixed seed.  Used by the ``hybrid-svd`` and
+    ``sketch-svd`` baselines; the evaluation metric takes its best-rank
+    error from an exact decomposition.
     """
     m, n = a.shape
     if k < 1 or k > min(m, n):

@@ -11,7 +11,6 @@ of the sketch rows (Salmon et al., "Parallel random numbers: as easy as
 
 from __future__ import annotations
 
-import functools
 import hashlib
 
 import numpy as np
@@ -82,14 +81,6 @@ def column_seed(master: int, index: int) -> int:
     return _mix64((master + (index + 1) * _GOLDEN) & _MASK64)
 
 
-@functools.lru_cache(maxsize=8)
-def _counter_offsets(count: int) -> np.ndarray:
-    """``(j + 1) * GOLDEN`` modulo 2**64 for j in 0..count-1, read-only."""
-    offsets = np.arange(1, count + 1, dtype=np.uint64) * _U_GOLDEN
-    offsets.flags.writeable = False
-    return offsets
-
-
 def column_seeds(master: int, indices: np.ndarray) -> np.ndarray:
     """:func:`column_seed` of every index in a nonnegative integer array."""
     offsets = (indices.astype(np.uint64) + _U_ONE) * _U_GOLDEN
@@ -102,4 +93,5 @@ def counter_words(keys, count: int) -> np.ndarray:
     ``keys`` is a 0-d uint64 array (one stream, of shape (count,)) or a
     uint64 array whose last axis has length 1 (one stream per key).
     """
-    return mix64_array(keys + _counter_offsets(count))
+    offsets = np.arange(1, count + 1, dtype=np.uint64) * _U_GOLDEN
+    return mix64_array(keys + offsets)

@@ -72,7 +72,7 @@ def test_map_phase_target_in_span():
     b = np.asfortranarray(block[:, [0, 2]] @ rng.standard_normal((2, 4)))
     part = Partition(pid=0, matrix=block, global_indices=np.arange(6))
     res = map_phase(part, b, l_b=4)
-    assert target_error(block, res.local_indices, b) <= 1e-9 * frobenius_sq(b)
+    assert target_error(block, res.global_indices, b) <= 1e-9 * frobenius_sq(b)
 
 
 def test_map_phase_single_pick_maximizes_first_criterion():
@@ -82,7 +82,6 @@ def test_map_phase_single_pick_maximizes_first_criterion():
     res = map_phase(part, b, l_b=1)
     cross = b.T @ block
     scores = np.sum(cross * cross, axis=0) / np.sum(block * block, axis=0)
-    assert res.local_indices == [int(np.argmax(scores))]
     assert res.global_indices == [10 + int(np.argmax(scores))]
 
 
@@ -92,7 +91,7 @@ def test_map_phase_matches_naive_oracle():
     part = Partition(pid=0, matrix=block, global_indices=np.arange(9))
     res = map_phase(part, b, l_b=3)
     oracle = naive_generalized_oracle(block, b, 3)
-    assert res.local_indices == oracle.indices
+    assert res.global_indices == oracle.indices
 
 
 def test_reduce_single_partition_passthrough():
@@ -110,7 +109,6 @@ def test_map_phase_without_target_is_greedy_on_the_block():
     part = partition_columns(a, 3, "round-robin")[1]
     res = map_phase(part, None, l_b=3)
     want = greedy_select(part.matrix, 3).indices
-    assert res.local_indices == want
     assert res.global_indices == [int(part.global_indices[j]) for j in want]
     assert np.array_equal(res.columns, part.matrix[:, want])
 
@@ -132,13 +130,11 @@ def test_reduce_rejects_duplicate_globals():
     a = random_matrix(6, 4, seed=12)
     res = PartitionResult(
         pid=0,
-        local_indices=[0],
         global_indices=[2],
         columns=np.asfortranarray(a[:, [0]]),
     )
     dup = PartitionResult(
         pid=1,
-        local_indices=[1],
         global_indices=[2],
         columns=np.asfortranarray(a[:, [1]]),
     )
@@ -233,7 +229,6 @@ def test_distributed_deterministic_across_runs_and_threads():
         assert rep.selected == first.selected
         assert rep.target_error == first.target_error
         assert rep.exact_error == first.exact_error
-        assert rep.per_partition_picks == first.per_partition_picks
         assert rep.columns_moved == first.columns_moved
 
 
@@ -241,7 +236,6 @@ def test_distributed_report_accounting():
     a = random_matrix(13, 20, seed=22)
     cfg = gaussian_config(c=4, l=6, r=7, seed=1)
     report = distributed_select(a, cfg)
-    assert report.columns_moved == sum(report.per_partition_picks)
     assert report.columns_moved == 4 * 5  # c * min(l, partition width)
     assert report.broadcast_values == 4 * 13 * 7
     assert set(report.timings) == {"sketch", "map", "reduce", "total"}
@@ -258,13 +252,8 @@ def test_config_validation():
         DistributedConfig(partitions=2, budget=0, sketch=spec)
     with pytest.raises(ValueError, match="unknown assignment"):
         DistributedConfig(partitions=2, budget=3, sketch=spec, assignment="striped")
-    with pytest.raises(ValueError):
-        DistributedConfig(partitions=2, budget=5, sketch=spec, per_partition_budget=2)
     cfg = DistributedConfig(partitions=4, budget=10, sketch=spec)
     assert cfg.resolved_partition_budget() == 10
-    assert DistributedConfig(
-        partitions=4, budget=10, sketch=spec, per_partition_budget=3
-    ).resolved_partition_budget() == 3
     with pytest.raises(ValueError, match="requires a sketch"):
         distributed_select(random_matrix(4, 6, seed=0),
                            DistributedConfig(partitions=2, budget=2, sketch=None))
