@@ -1,87 +1,73 @@
-"""Greedy column subset selection, sketching, and a partitioned pipeline."""
+"""Greedy column subset selection, sketching, and a partitioned pipeline.
 
-from .distributed import (
-    DistributedConfig,
-    DistributedReport,
-    Partition,
-    PartitionResult,
-    distributed_select,
-    map_phase,
-    naive_distributed_baseline,
-    partition_columns,
-    reduce_phase,
-)
-from .evaluate import (
-    MetricUndefinedError,
-    evaluate_selection,
-    hybrid_select,
-    naive_generalized_oracle,
-    naive_greedy_oracle,
-    relative_accuracy,
-    sketch_svd_select,
-    uniform_select,
-)
-from .generalized import generalized_init, generalized_select
-from .greedy import (
-    SelectionResult,
-    SelectionState,
-    greedy_select,
-    init_state,
-    select_next,
-)
-from .linalg import (
-    DegenerateBasisError,
-    SvdResult,
-    as_matrix,
-    frobenius_sq,
-    orthonormal_basis,
-    randomized_svd,
-    reconstruction_error,
-)
-from .matrixio import MatrixFormatError, load_matrix, save_matrix
-from .seeds import derive_seed
-from .sketch import SketchSpec, sketch_matrix, sketch_partitioned, sketch_row
+Submodules are imported on first use of a name they export (PEP 562), so a
+process that only loads a matrix imports ``matrixio`` and ``linalg`` alone.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DistributedConfig",
-    "DistributedReport",
-    "Partition",
-    "PartitionResult",
-    "distributed_select",
-    "map_phase",
-    "naive_distributed_baseline",
-    "partition_columns",
-    "reduce_phase",
-    "MetricUndefinedError",
-    "evaluate_selection",
-    "hybrid_select",
-    "naive_generalized_oracle",
-    "naive_greedy_oracle",
-    "relative_accuracy",
-    "sketch_svd_select",
-    "uniform_select",
-    "generalized_init",
-    "generalized_select",
-    "SelectionResult",
-    "SelectionState",
-    "greedy_select",
-    "init_state",
-    "select_next",
-    "DegenerateBasisError",
-    "SvdResult",
-    "as_matrix",
-    "frobenius_sq",
-    "orthonormal_basis",
-    "randomized_svd",
-    "reconstruction_error",
-    "MatrixFormatError",
-    "load_matrix",
-    "save_matrix",
-    "derive_seed",
-    "SketchSpec",
-    "sketch_matrix",
-    "sketch_partitioned",
-    "sketch_row",
-]
+# Every submodule, with the names the package re-exports from it.
+_EXPORTS = {
+    "cli": (),
+    "distributed": (
+        "DistributedConfig",
+        "DistributedReport",
+        "Partition",
+        "PartitionResult",
+        "distributed_select",
+        "map_phase",
+        "naive_distributed_baseline",
+        "partition_columns",
+        "reduce_phase",
+    ),
+    "evaluate": (
+        "MetricUndefinedError",
+        "evaluate_selection",
+        "hybrid_select",
+        "naive_generalized_oracle",
+        "naive_greedy_oracle",
+        "relative_accuracy",
+        "sketch_svd_select",
+        "uniform_select",
+    ),
+    "generalized": ("generalized_init", "generalized_select"),
+    "greedy": (
+        "SelectionResult",
+        "SelectionState",
+        "greedy_select",
+        "init_state",
+        "select_next",
+    ),
+    "linalg": (
+        "DegenerateBasisError",
+        "SvdResult",
+        "as_matrix",
+        "frobenius_sq",
+        "orthonormal_basis",
+        "randomized_svd",
+        "reconstruction_error",
+    ),
+    "matrixio": ("MatrixFormatError", "load_matrix", "save_matrix"),
+    "seeds": ("derive_seed",),
+    "sketch": ("SketchSpec", "sketch_matrix", "sketch_partitioned", "sketch_row"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name):
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ORIGIN) | set(_EXPORTS))

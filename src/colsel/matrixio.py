@@ -8,6 +8,7 @@ column-streaming access pattern of the selection algorithms.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -104,6 +105,9 @@ def _load_coordinate(path) -> np.ndarray:
 
 
 def _load_binary(path) -> np.ndarray:
+    # The payload is read straight into the returned array: one copy, sized
+    # from the file before reading.  No memory map, because a mapped array
+    # faults once its file is truncated, as save_matrix to the same path does.
     with open(path, "rb") as handle:
         header = handle.read(24)
         if len(header) < 24 or header[:8] != MAGIC:
@@ -111,16 +115,16 @@ def _load_binary(path) -> np.ndarray:
         m, n = struct.unpack("<QQ", header[8:])
         if m < 1 or n < 1:
             raise MatrixFormatError(path, f"invalid dimensions {m}x{n}")
-        payload = handle.read()
-    expected = 8 * m * n
-    if len(payload) != expected:
-        raise MatrixFormatError(
-            path, f"payload holds {len(payload)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f8").reshape((m, n), order="F")
+        expected = 8 * m * n
+        size = os.fstat(handle.fileno()).st_size - len(header)
+        if size == expected:
+            data = np.empty((m, n), dtype="<f8", order="F")
+            size = handle.readinto(data.reshape(-1, order="F"))
+    if size != expected:
+        raise MatrixFormatError(path, f"payload holds {size} bytes, expected {expected}")
     if not np.all(np.isfinite(data)):
         raise MatrixFormatError(path, "payload contains non-finite values")
-    return np.asfortranarray(data)
+    return data
 
 
 def load_matrix(path, fmt: str) -> np.ndarray:

@@ -1,0 +1,60 @@
+"""`import colsel` defers its submodules until a name from one is used.
+
+Each check runs in a fresh interpreter, because this test session has
+already imported every submodule.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import colsel
+
+HEAVY = ["greedy", "generalized", "distributed", "evaluate", "sketch", "seeds", "cli"]
+
+
+def run_fresh(code: str, *args: str) -> str:
+    # `-c` imports from the working directory: run where this colsel lives.
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, cwd=Path(colsel.__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_loading_imports_no_selection_code(tmp_path):
+    path = tmp_path / "mat.bin"
+    colsel.save_matrix([[1.0, 2.0], [3.0, 4.0]], path, "binary")
+    code = (
+        "import json, sys, colsel\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('colsel.'))\n"
+        "after_import = loaded()\n"
+        "colsel.load_matrix(sys.argv[1], 'binary')\n"
+        "print(json.dumps([after_import, loaded()]))\n"
+    )
+    after_import, after_load = json.loads(run_fresh(code, str(path)))
+    for modules in (after_import, after_load):
+        assert not {f"colsel.{name}" for name in HEAVY} & set(modules), modules
+    assert after_load == ["colsel.linalg", "colsel.matrixio"]
+
+
+def test_names_and_submodules_resolve_on_first_use():
+    code = (
+        "import colsel\n"
+        "from colsel import greedy_select\n"
+        "from colsel.greedy import greedy_select as direct\n"
+        "assert greedy_select is direct\n"
+        "assert colsel.evaluate.best_rank_error.__module__ == 'colsel.evaluate'\n"
+        "missing = set(colsel.__all__) - set(dir(colsel))\n"
+        "assert not missing, missing\n"
+        "try:\n"
+        "    colsel.nope\n"
+        "except AttributeError as exc:\n"
+        "    assert 'nope' in str(exc)\n"
+        "else:\n"
+        "    raise SystemExit('colsel.nope resolved')\n"
+        "print('ok')\n"
+    )
+    assert run_fresh(code) == "ok\n"

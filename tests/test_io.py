@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,9 +72,27 @@ def test_binary_round_trip_bit_identical(tmp_path):
     assert raw[:8] == MAGIC
     back = load_matrix(path, "binary")
     assert back.shape == a.shape
+    assert back.dtype == np.float64 and back.flags.f_contiguous
     assert np.array_equal(back, a)
-    save_matrix(back, tmp_path / "again.bin", "binary")
-    assert (tmp_path / "again.bin").read_bytes() == raw
+    # Saving over the file the array was loaded from must not disturb the
+    # array, as it would if the array were a memory map of that file.
+    save_matrix(back, path, "binary")
+    assert path.read_bytes() == raw
+    assert np.array_equal(load_matrix(path, "binary"), a)
+
+
+def test_binary_load_holds_one_copy_of_the_payload(tmp_path):
+    a = random_matrix(200, 300, seed=2)
+    path = tmp_path / "mat.bin"
+    save_matrix(a, path, "binary")
+    tracemalloc.start()
+    try:
+        load_matrix(path, "binary")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the loaded array plus the finite-value check's boolean mask
+    assert peak <= 1.25 * a.nbytes
 
 
 def test_binary_rejects_corruption(tmp_path):
@@ -87,6 +106,10 @@ def test_binary_rejects_corruption(tmp_path):
         load_matrix(path, "binary")
     save_matrix(a, path, "binary")
     path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(MatrixFormatError, match="payload"):
+        load_matrix(path, "binary")
+    save_matrix(a, path, "binary")
+    path.write_bytes(path.read_bytes() + struct.pack("<d", 1.0))
     with pytest.raises(MatrixFormatError, match="payload"):
         load_matrix(path, "binary")
     path.write_bytes(MAGIC + struct.pack("<QQ", 0, 2))
