@@ -86,7 +86,11 @@ class PartitionResult:
 
 
 def partition_columns(a: np.ndarray, c: int, assignment: str = "contiguous") -> list[Partition]:
-    """Split the columns of ``a`` into ``c`` blocks that tile them exactly once."""
+    """Split the columns of ``a`` into ``c`` blocks that tile them exactly once.
+
+    The blocks are views of ``a``, not copies: column slices for contiguous
+    blocks and strided ones for round-robin blocks.
+    """
     n = a.shape[1]
     if c < 1 or c > n:
         raise ValueError(f"cannot split {n} columns into {c} partitions")
@@ -100,13 +104,12 @@ def partition_columns(a: np.ndarray, c: int, assignment: str = "contiguous") -> 
         start = 0
         for pid in range(c):
             size = base + (1 if pid < extra else 0)
-            idx = np.arange(start, start + size)
-            parts.append(Partition(pid, np.asfortranarray(a[:, idx]), idx))
-            start += size
+            stop = start + size
+            parts.append(Partition(pid, a[:, start:stop], np.arange(start, stop)))
+            start = stop
     else:
         for pid in range(c):
-            idx = np.arange(pid, n, c)
-            parts.append(Partition(pid, np.asfortranarray(a[:, idx]), idx))
+            parts.append(Partition(pid, a[:, pid::c], np.arange(pid, n, c)))
     return parts
 
 

@@ -20,6 +20,10 @@ __all__ = ["MatrixFormatError", "load_matrix", "save_matrix", "MAGIC", "FORMATS"
 MAGIC = b"CSELMAT1"
 FORMATS = ("csv", "coordinate", "binary")
 
+# Columns per finite-value check of a binary payload, which bounds the
+# check's boolean mask to this many columns.
+_CHECK_BLOCK = 128
+
 
 class MatrixFormatError(ValueError):
     """A matrix file does not conform to its declared format."""
@@ -122,8 +126,9 @@ def _load_binary(path) -> np.ndarray:
             size = handle.readinto(data.reshape(-1, order="F"))
     if size != expected:
         raise MatrixFormatError(path, f"payload holds {size} bytes, expected {expected}")
-    if not np.all(np.isfinite(data)):
-        raise MatrixFormatError(path, "payload contains non-finite values")
+    for start in range(0, n, _CHECK_BLOCK):
+        if not np.all(np.isfinite(data[:, start:start + _CHECK_BLOCK])):
+            raise MatrixFormatError(path, "payload contains non-finite values")
     return data
 
 

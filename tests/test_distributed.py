@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,23 @@ def test_partition_round_robin():
     assert list(parts[0].global_indices) == [0, 2, 4, 6]
     assert list(parts[1].global_indices) == [1, 3, 5]
     assert np.array_equal(parts[1].matrix, a[:, [1, 3, 5]])
+
+
+@pytest.mark.parametrize("assignment", ["contiguous", "round-robin"])
+def test_pipeline_holds_no_copy_of_the_input(assignment):
+    a = planted_partitioned(200, 1600, n_generators=20, c=4, seed=3)
+    assert all(np.shares_memory(p.matrix, a) for p in partition_columns(a, 4, assignment))
+    cfg = DistributedConfig(
+        partitions=4, budget=12, sketch=SketchSpec("gaussian", r=32, seed=5), assignment=assignment
+    )
+    tracemalloc.start()
+    try:
+        distributed_select(a, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Copied blocks alone would hold a.nbytes; the views hold nothing.
+    assert peak <= 0.5 * a.nbytes
 
 
 def test_partition_validation():

@@ -103,6 +103,28 @@ def test_reduction_to_plain_greedy_is_exact_on_tall_input():
         assert gen.gains == plain.gains
 
 
+def test_self_target_folds_like_plain_greedy():
+    # 140 steps cross two folds of the stacked factors into C = A^T A, which
+    # a target that is the source itself must make as plain greedy does.  A
+    # separate target's C = B^T A folds nothing: its factors keep every row.
+    a = random_matrix(200, 150, seed=32)
+    gen = generalized_select(a, a, 140)
+    plain = greedy_select(a, 140)
+    assert gen.indices == plain.indices
+    assert gen.gains == plain.gains
+    b = random_matrix(200, 100, seed=33)
+    state = generalized_init(a, b)
+    assert state.bta is not None
+    for _ in range(100):
+        select_next(state, a, b)
+    assert state.gram_factors.shape == (100, 150)
+    assert state.cross_factors.shape == (100, 100)
+    num, den = direct_generalized_scores(a, b, state.selected)
+    act = state.active
+    assert_allclose(state.score_num[act], num[act], rtol=1e-8)
+    assert_allclose(state.score_den[act], den[act], rtol=1e-8)
+
+
 @pytest.mark.parametrize(
     "m, n, c", [(60, 80, 20), (60, 200, 150)], ids=["direct-keeps-bta", "gram-form"]
 )

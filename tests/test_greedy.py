@@ -235,6 +235,27 @@ def test_step_paths_match_oracle_through_buffer_growth(m, n):
     assert state.cross_factors is None
 
 
+def test_column_space_steps_fold_factors_into_c():
+    # A tall input keeps C = A^T A, and every 64 picks its stacked factors
+    # are folded into C and the stack restarts.  140 steps cross two folds,
+    # and the row-space twin, which folds nothing, must take the same picks.
+    a = random_matrix(200, 150, seed=31)
+    state = init_state(a)
+    assert state.bta is not None
+    twin = init_state(a)
+    twin.bta, twin.gram = None, a @ a.T
+    for k in range(1, 141):
+        p = select_next(state, a)
+        assert select_next(twin, a) == p
+        assert np.array_equal(state.bta, state.bta.T)
+        assert len(state.gram_factors) == k % 64
+        assert state.gram_buffer.shape[0] <= 64
+        num, den = direct_scores(a, state.selected)
+        act = state.active
+        assert_allclose(state.score_num[act], num[act], rtol=1e-8)
+        assert_allclose(state.score_den[act], den[act], rtol=1e-8)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_oracle_equivalence_small(seed):
     rng = np.random.default_rng(seed + 50)
