@@ -23,7 +23,10 @@ With ``C`` (the direct form), the steps work in column space, on factors
 stacked so that each of their updates is one matrix-vector product.  For
 plain greedy ``C`` is ``A^T A``: a step reads the picked column's Gram
 column from it and never touches A.  Every 64 picks the stacked factors are
-folded into ``C`` by one rank-64 product and the stack restarts, so a step
+folded into ``C`` and the stack restarts.  The fold runs in place, one block
+of 128 rows at a time: each diagonal block takes a symmetric product and the
+rest of the block row is mirrored into the block column, so ``C`` stays
+exactly symmetric by construction and no n x n temporary is formed.  A step
 costs one pass over ``C`` plus O(64 n) flops, and the folds add n^2 flops
 per pick on average.  A separate c-column target keeps every factor,
 because its Gram column comes from A: a step after k picks costs
@@ -47,7 +50,8 @@ from .linalg import RANK_TOLERANCE, column_norms_sq, frobenius_sq
 
 __all__ = ["SelectionState", "SelectionResult", "init_state", "select_next", "greedy_select"]
 
-# Column block width of the block-wise Gram-form initial scores.
+# Column block width of the block-wise Gram-form initial scores, and row
+# block height of the fold.
 _BLOCK = 128
 
 # A Gram-form quantity is recomputed from the target itself when its
@@ -87,10 +91,11 @@ class SelectionState:
     mirrors them in the target's column space (``None`` without a target).
     When ``bta`` is ``A^T A`` (plain greedy, or a target that is the source
     itself), every 64 rows are folded into it, so that it holds ``A^T A``
-    less their outer products and stays symmetric: a step costs one
-    pass over ``bta`` plus O(64 n) flops, and a fold every 64 picks costs
-    64 n^2 flops.  A separate c-column target folds nothing, and a step
-    after k picks costs 2cn + 2mn + O(k (n + c)) flops.
+    less their outer products.  The fold updates ``bta`` in place, block
+    row by block row, and keeps it exactly symmetric by construction: a
+    step costs one pass over ``bta`` plus O(64 n) flops, and a fold every
+    64 picks costs 64 n^2 flops.  A separate c-column target folds nothing,
+    and a step after k picks costs 2cn + 2mn + O(k (n + c)) flops.
 
     With ``gram``, ``basis`` is a k x m array whose orthonormal rows span
     the selected columns, and the factors stay empty.  A step after k picks
@@ -215,19 +220,56 @@ def _pick(
     the current selection and the vector it came from; both are returned
     with ``p``.
     """
+    # Inactive candidates may divide by zero; their ratios are masked out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = state.score_num / state.score_den
+    np.putmask(ratio, ~state.active, -np.inf)
     while True:
-        if not np.any(state.active):
+        p = int(ratio.argmax())
+        if not state.active[p]:
             raise ExhaustedError("no active candidate columns remain")
-        ratio = np.full(state.score_num.shape, -np.inf)
-        np.divide(state.score_num, state.score_den, out=ratio, where=state.active)
-        p = int(np.argmax(ratio))
         pivot, vec = pivot_of(p)
         if pivot > RANK_TOLERANCE * state.den_init[p]:
-            state.gains.append(float(state.score_num[p] / state.score_den[p]))
+            state.gains.append(float(ratio[p]))
             return p, pivot, vec
         # The recursion kept the column's denominator above the tolerance,
         # but the column is numerically dependent on the current selection.
         state.active[p] = False
+        ratio[p] = -np.inf
+
+
+def _update_scores(state: SelectionState, w: np.ndarray, corr: np.ndarray, vv: float) -> None:
+    """Take a pick's factor ``w`` out of the scores, in place; ``corr`` is overwritten.
+
+    ``score_num`` loses ``2 w corr - vv w^2`` and ``score_den`` loses
+    ``w^2``, elementwise.  Doubling is exact, so ``(2 corr) w`` rounds
+    like ``(2 w) corr``.
+    """
+    corr *= 2.0
+    corr *= w
+    state.score_num -= corr
+    np.multiply(w, w, out=corr)
+    state.score_den -= corr
+    corr *= vv
+    state.score_num += corr
+
+
+def _fold(bta: np.ndarray, stack: np.ndarray) -> None:
+    """``bta -= stack.T @ stack`` in place, one ``_BLOCK``-row block at a time.
+
+    A diagonal block takes ``blk.T @ blk`` of one array, which is numpy's
+    symmetric product; the rest of the block row is one product, copied
+    transposed into the block column.  ``bta`` stays exactly symmetric, and
+    no temporary is larger than one block row.
+    """
+    n = bta.shape[0]
+    for start in range(0, n, _BLOCK):
+        stop = start + _BLOCK
+        blk = stack[:, start:stop]
+        bta[start:stop, start:stop] -= blk.T @ blk
+        if stop < n:
+            bta[start:stop, stop:] -= blk.T @ stack[:, stop:]
+            bta[stop:, start:stop] = bta[start:stop, stop:].T
 
 
 def _column_space_step(state: SelectionState, a: np.ndarray, b: np.ndarray | None) -> int:
@@ -254,8 +296,7 @@ def _column_space_step(state: SelectionState, a: np.ndarray, b: np.ndarray | Non
         v_new = (bta[:, p] - v.T @ w[:, p]) / scale
         corr = bta.T @ v_new
     corr -= w.T @ (v @ v_new)
-    state.score_num = state.score_num - 2.0 * w_new * corr + (v_new @ v_new) * (w_new * w_new)
-    state.score_den = state.score_den - w_new * w_new
+    _update_scores(state, w_new, corr, v_new @ v_new)
 
     k = state.stacked
     state.gram_buffer = _put_row(state.gram_buffer, k, w_new)
@@ -263,10 +304,7 @@ def _column_space_step(state: SelectionState, a: np.ndarray, b: np.ndarray | Non
         state.cross_buffer = _put_row(state.cross_buffer, k, v_new)
     state.stacked = k + 1
     if plain and state.stacked == _FOLD:
-        # W^T W of the same array is one symmetric product: the fold adds no
-        # rounding asymmetry to C.
-        stack = state.gram_buffer[:_FOLD]
-        bta -= stack.T @ stack
+        _fold(bta, state.gram_buffer[:_FOLD])
         state.stacked = 0
     return p
 
@@ -298,8 +336,7 @@ def _row_space_step(state: SelectionState, a: np.ndarray, t: np.ndarray) -> int:
     # Two matrix-vector products read A faster than one with two columns.
     w = a.T @ u
     corr = a.T @ (g - q.T @ (q @ g))
-    state.score_num = state.score_num - 2.0 * w * corr + vv * (w * w)
-    state.score_den = state.score_den - w * w
+    _update_scores(state, w, corr, vv)
     state.basis_buffer = _put_row(state.basis_buffer, len(state.selected), u)
     return p
 

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -235,16 +238,21 @@ def test_step_paths_match_oracle_through_buffer_growth(m, n):
     assert state.cross_factors is None
 
 
-def test_column_space_steps_fold_factors_into_c():
+@pytest.mark.parametrize(
+    "m, n, steps", [(200, 150, 140), (400, 300, 200)], ids=["two-folds", "three-folds"]
+)
+def test_column_space_steps_fold_factors_into_c(m, n, steps):
     # A tall input keeps C = A^T A, and every 64 picks its stacked factors
-    # are folded into C and the stack restarts.  140 steps cross two folds,
-    # and the row-space twin, which folds nothing, must take the same picks.
-    a = random_matrix(200, 150, seed=31)
+    # are folded into C, 128 rows at a time, and the stack restarts.  The
+    # steps cross two or three folds, the wider C spans two full row blocks
+    # and a remainder, and the row-space twin, which folds nothing, must take
+    # the same picks.
+    a = random_matrix(m, n, seed=31)
     state = init_state(a)
     assert state.bta is not None
     twin = init_state(a)
     twin.bta, twin.gram = None, a @ a.T
-    for k in range(1, 141):
+    for k in range(1, steps + 1):
         p = select_next(state, a)
         assert select_next(twin, a) == p
         assert np.array_equal(state.bta, state.bta.T)
@@ -254,6 +262,38 @@ def test_column_space_steps_fold_factors_into_c():
         act = state.active
         assert_allclose(state.score_num[act], num[act], rtol=1e-8)
         assert_allclose(state.score_den[act], den[act], rtol=1e-8)
+
+
+def test_tall_greedy_select_memory_peak_is_c_and_one_block_row():
+    # Two folds update C in place, 128 rows at a time: besides C the run
+    # holds at most one 128-row block, the 64-row factor stack and a few
+    # n-vectors (about 10 measured, 32 allowed).  Folding through a whole
+    # stack^T stack would hold a second n x n array.
+    m, n = 600, 500
+    a = random_matrix(m, n, seed=5)
+    tracemalloc.start()
+    try:
+        res = greedy_select(a, 140)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.indices) == 140
+    assert peak <= 8 * n * (n + 128 + 64 + 32)
+
+
+@pytest.mark.parametrize("m, n", [(40, 20), (20, 60)], ids=["tall", "wide"])
+def test_zero_and_duplicate_columns_pick_without_warnings(m, n):
+    # The pick divides the whole score vector, so the zero column and a spent
+    # duplicate divide by zero: that must neither warn nor win the pick.
+    a = random_matrix(m, n, seed=m + n)
+    a[:, 3] = 0.0
+    a[:, 7] = a[:, 5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = greedy_select(a, min(m, n))
+    assert 3 not in res.indices
+    assert not {5, 7} <= set(res.indices)
+    assert len(res.indices) == min(m, n) - (2 if m > n else 0)
 
 
 @pytest.mark.parametrize("seed", range(6))
