@@ -20,7 +20,7 @@ from .distributed import DistributedConfig, distributed_select, naive_distribute
 from .generalized import generalized_select
 from .greedy import greedy_select
 from .linalg import DegenerateBasisError, _projection_errors, reconstruction_error
-from .matrixio import FORMATS, MatrixFormatError, load_matrix, save_matrix
+from .matrixio import FORMATS, load_matrix, save_matrix
 from .seeds import derive_seed
 from .sketch import KINDS, SketchSpec, sketch_matrix
 
@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, need_l=False):
         p.add_argument("--input", required=True, help="input matrix file")
         p.add_argument("--format", default="csv", choices=FORMATS)
-        p.add_argument("--l", type=int, required=need_l, help="number of columns to select")
+        if need_l:
+            p.add_argument("--l", type=int, required=True, help="number of columns to select")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="write result here instead of stdout")
         p.add_argument("--summary", help="write a JSON run summary here")
@@ -87,9 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     base.add_argument("--partitions", type=int, default=1)
     base.add_argument("--assignment", default="contiguous",
                       choices=distributed.ASSIGNMENTS)
-    base.add_argument("--trials", type=int, default=10)
 
     ev = common(sub.add_parser("eval", help="relative accuracy of an index list"))
+    ev.add_argument("--l", type=int, help="expected number of indices (checked if given)")
     ev.add_argument("--trials", type=int, default=10)
     ev.add_argument("--indices",
                     help="file with one 0-based index per line (default: stdin)")
@@ -290,7 +291,7 @@ def main(argv=None) -> int:
     except DegenerateBasisError as exc:
         print(f"colsel: numerical degeneracy: {exc}", file=sys.stderr)
         return 4
-    except (MatrixFormatError, evaluate.MetricUndefinedError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # MatrixFormatError and MetricUndefinedError too
         print(f"colsel: error: {exc}", file=sys.stderr)
         return 3
 

@@ -19,7 +19,7 @@ from .generalized import generalized_select
 from .greedy import SelectionResult, greedy_select
 from .linalg import (
     DegenerateBasisError,
-    _projection_error,
+    _projection_errors,
     check_column_set,
     column_norms_sq,
     frobenius_sq,
@@ -102,7 +102,7 @@ def _tolerant_error(a: np.ndarray, cols: list[int], energy: float) -> float:
     those few fall back to ``lstsq``.
     """
     try:
-        return _projection_error(a, cols, a, energy)
+        return _projection_errors(a, cols, [a], [energy])[0]
     except DegenerateBasisError:
         return _lstsq_error(a, cols, a)
 
@@ -299,5 +299,5 @@ def evaluate_selection(
     """
     cols = check_column_set(indices, a.shape[1])
     energy = frobenius_sq(a)
-    error = _projection_error(a, cols, a, energy)
+    error = _projection_errors(a, cols, [a], [energy])[0]
     return error, _accuracy(a, len(cols), error, energy, uniform_trials, seed)

@@ -153,26 +153,12 @@ def _projection_errors(
     return errors
 
 
-def _projection_error(
-    a: np.ndarray,
-    columns: Sequence[int],
-    target: np.ndarray,
-    target_energy: float | None = None,
-) -> float:
-    """Squared Frobenius error of ``target`` after projection onto the selected columns.
-
-    The one-target case of :func:`_projection_errors`.
-    """
-    energies = None if target_energy is None else [target_energy]
-    return _projection_errors(a, columns, [target], energies)[0]
-
-
 def reconstruction_error(a: np.ndarray, columns: Sequence[int]) -> float:
     """Squared Frobenius error of ``a`` after projection onto the selected columns.
 
     The empty selection yields the squared Frobenius norm of ``a``.
     """
-    return _projection_error(a, columns, a)
+    return _projection_errors(a, columns, [a])[0]
 
 
 @dataclass(frozen=True)

@@ -119,9 +119,8 @@ def sketch_row(spec: SketchSpec, index: int) -> np.ndarray:
             raise ValueError(
                 f"identity sketch of width {r} has no row for column {index}"
             )
-        row = np.zeros(r)
-        row[index] = 1.0
-        return row
+        return _projection_rows(spec, np.array([index]))[0]
+    # the random kinds take the scalar key: a one-row group costs more
     return _stream_rows(spec.kind, r, as_uint64(column_seed(spec.seed, index)))
 
 

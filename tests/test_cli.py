@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -245,15 +246,19 @@ def test_usage_errors_exit_2(eye3_csv, capsys):
 
 
 def test_threads_only_on_select_dist(tmp_path, eye3_csv, capsys):
-    assert main(["select", "--input", eye3_csv, "--l", "2", "--threads", "2"]) == 2
-    capsys.readouterr()
+    # a subcommand rejects every option it does not read
+    for argv in (["select", "--input", eye3_csv, "--l", "2", "--threads", "2"],
+                 ["baseline", "uniform", "--input", eye3_csv, "--l", "2", "--trials", "5"],
+                 ["sketch", "--input", eye3_csv, "--sketch", "identity", "--l", "3"]):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
     code, out, _ = run_cli(capsys, ["select-dist", "--input", eye3_csv, "--l", "2",
                                     "--sketch", "identity", "--threads", "2"])
     assert code == 0
     assert out == "0\n1\n"
 
 
-def test_data_errors_exit_3(tmp_path, eye3_csv, capsys):
+def test_data_errors_exit_3(tmp_path, eye3_csv, capsys, monkeypatch):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3,nope\n")
     assert main(["select", "--input", str(bad), "--l", "1"]) == 3
@@ -267,6 +272,20 @@ def test_data_errors_exit_3(tmp_path, eye3_csv, capsys):
         idx.write_text(bad_indices)
         assert main(["eval", "--input", eye3_csv, "--indices", str(idx)]) == 3
         assert "column ind" in capsys.readouterr().err
+    evals = [
+        # read from stdin past the blank line; uniform draws of eye(3) are optimal
+        ("0\n\n1\n", [], "relative metric is undefined"),
+        ("0\nx\n", [], "line 2: 'x' is not an integer"),
+        ("\n", [], "index list is empty"),
+        ("0\n1\n2\n0\n", ["--l", "3"], "does not match the 4 provided indices"),
+        ("0\n1\n", ["--trials", "0"], "uniform_trials must be >= 1"),
+    ]
+    for stdin, extra, message in evals:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert main(["eval", "--input", eye3_csv, *extra]) == 3
+        assert message in capsys.readouterr().err
+    assert main(["select-dist", "--input", eye3_csv, "--l", "2", "--sketch", "gaussian"]) == 3
+    assert "--r is required" in capsys.readouterr().err
 
 
 def test_degeneracy_exit_4(tmp_path, capsys):

@@ -116,6 +116,10 @@ def test_relative_accuracy_rejects_bad_column_sets():
         relative_accuracy(a, [0, 5])
     with pytest.raises(ValueError, match="out of range"):
         relative_accuracy(a, [-1])
+    with pytest.raises(ValueError, match="at least one column"):
+        relative_accuracy(a, [])
+    with pytest.raises(ValueError, match="uniform_trials"):
+        relative_accuracy(a, [0, 1], uniform_trials=0)
 
 
 def test_relative_accuracy_undefined_when_uniform_is_optimal():
@@ -127,6 +131,8 @@ def test_relative_accuracy_undefined_when_uniform_is_optimal():
 def test_uniform_select_all_and_determinism():
     assert sorted(uniform_select(5, 5, seed=3)) == [0, 1, 2, 3, 4]
     assert uniform_select(30, 4, seed=8) == uniform_select(30, 4, seed=8)
+    with pytest.raises(ValueError, match="budget"):
+        uniform_select(5, 0, seed=3)
 
 
 def test_uniform_select_frequencies():
@@ -158,6 +164,8 @@ def test_hybrid_deterministic_and_validates():
     assert hybrid_select(a, 5, "svd-rows", seed=1) == hybrid_select(a, 5, "svd-rows", seed=1)
     with pytest.raises(ValueError):
         hybrid_select(a, 1, "uniform", seed=0)
+    with pytest.raises(ValueError, match="l <= 25"):
+        hybrid_select(a, 26, "uniform", seed=0)
     with pytest.raises(ValueError):
         hybrid_select(a, 5, "leverage", seed=0)
     with pytest.raises(ValueError, match="zero total mass"):
@@ -252,6 +260,31 @@ def test_naive_generalized_oracle_matches_production():
             naive_generalized_oracle(a, b, 5).indices
             == generalized_select(a, b, 5).indices
         )
+
+
+@pytest.mark.parametrize("target", [None, "random", "in-span"])
+@pytest.mark.parametrize("seed", range(4))
+def test_oracles_match_production_past_exhaustion(seed, target):
+    # l > rank: both routes stop once every column lies in the selection's
+    # span.  The rank-th pick is a tie by construction (any remaining
+    # column completes the span), so that pick is compared by its span.
+    rank = 3 + seed % 3
+    a = rank_deficient_matrix(12, 10, rank=rank, seed=seed + 40)
+    if target is None:
+        oracle, production = naive_greedy_oracle(a, rank + 3), greedy_select(a, rank + 3)
+    else:
+        if target == "random":
+            b = random_matrix(12, 3, seed=seed + 50)
+        else:
+            b = as_matrix(a @ random_matrix(10, 3, seed=seed + 50))
+        oracle = naive_generalized_oracle(a, b, rank + 3)
+        production = generalized_select(a, b, rank + 3)
+        assert oracle.target_reconstructed == production.target_reconstructed
+    assert oracle.exhausted and production.exhausted
+    assert len(oracle.indices) == len(production.indices) == rank
+    assert oracle.indices[:-1] == production.indices[:-1]
+    for picks in (oracle.indices, production.indices):
+        assert reconstruction_error(a, picks) <= 1e-9 * frobenius_sq(a)
 
 
 def test_metric_ordering_on_planted_instances():

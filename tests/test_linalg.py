@@ -15,7 +15,7 @@ from colsel import (
     reconstruction_error,
 )
 from colsel.evaluate import _tolerant_error
-from colsel.linalg import _projection_error, _projection_errors
+from colsel.linalg import _projection_errors
 from instances import badly_scaled_wide, random_matrix
 
 
@@ -71,6 +71,8 @@ def test_project_rejects_degenerate_basis():
     with pytest.raises(DegenerateBasisError) as err:
         project(a, [0, 1], a)
     assert 1 in err.value.indices
+    with pytest.raises(ValueError, match="empty column set"):
+        orthonormal_basis(a, [])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -108,7 +110,7 @@ def test_projection_errors_share_one_basis_bit_for_bit(cols):
     a = random_matrix(9, 12, seed=23)
     b = random_matrix(9, 4, seed=24)
     assert _projection_errors(a, cols, [b, a]) == [
-        _projection_error(a, cols, b),
+        _projection_errors(a, cols, [b])[0],
         reconstruction_error(a, cols),
     ]
 
@@ -159,6 +161,8 @@ def test_randomized_svd_diagonal_spectrum():
     a = as_matrix(np.diag([5.0, 4.0, 3.0, 2.0, 1.0]))
     res = randomized_svd(a, k=2, seed=0)
     assert_allclose(res.singular_values, [5.0, 4.0], atol=1e-6)
+    with pytest.raises(ValueError, match="rank k"):
+        randomized_svd(a, 0)
 
 
 def test_randomized_svd_deterministic():
@@ -277,7 +281,7 @@ def _assert_matches_lstsq(got, a, cols, target):
 @given(independent_sets())
 def test_projection_error_matches_lstsq(case):
     a, cols, target = case
-    _assert_matches_lstsq(_projection_error(a, cols, target), a, cols, target)
+    _assert_matches_lstsq(_projection_errors(a, cols, [target])[0], a, cols, target)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -285,6 +289,6 @@ def test_projection_error_matches_lstsq(case):
 def test_projection_error_rejects_dependent_sets(case):
     a, cols = case
     with pytest.raises(DegenerateBasisError):
-        _projection_error(a, cols, a)
+        _projection_errors(a, cols, [a])
     # the uniform trials of the relative-accuracy metric take lstsq instead
     _assert_matches_lstsq(_tolerant_error(a, cols, frobenius_sq(a)), a, cols, a)

@@ -279,6 +279,8 @@ def test_sketch_across_column_groups(kind):
 def test_partitioned_validation():
     a = random_matrix(6, 8, seed=7)
     spec = SketchSpec("gaussian", r=4, seed=0)
+    with pytest.raises(ValueError, match="at least one partition"):
+        sketch_partitioned([], spec)
     with pytest.raises(ValueError, match="multiple partitions"):
         sketch_partitioned(
             [(a[:, :4], [0, 1, 2, 3]), (a[:, 3:], [3, 4, 5, 6, 7])], spec
