@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 data error (unreadable or
 inconsistent inputs), 4 numerical degeneracy.  All indices are 0-based.
-A single ``--seed`` drives every stochastic component; sub-seeds are
+In each subcommand with a stochastic component (sketch, select-dist,
+baseline, eval) a single ``--seed`` drives all of them; sub-seeds are
 derived from it deterministically.
 """
 
@@ -15,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import distributed, evaluate
+from . import evaluate
 from .distributed import DistributedConfig, distributed_select, naive_distributed_baseline
 from .generalized import generalized_select
 from .greedy import greedy_select
@@ -49,20 +50,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_l=False):
+    def common(p, need_l=False, seeded=True):
         p.add_argument("--input", required=True, help="input matrix file")
         p.add_argument("--format", default="csv", choices=FORMATS)
         if need_l:
             p.add_argument("--l", type=int, required=True, help="number of columns to select")
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="write result here instead of stdout")
         p.add_argument("--summary", help="write a JSON run summary here")
         return p
 
-    common(sub.add_parser("select", help="centralized greedy selection"), need_l=True)
+    # Greedy selection is deterministic: select and select-gen take no seed.
+    common(sub.add_parser("select", help="centralized greedy selection"),
+           need_l=True, seeded=False)
 
     gen = common(sub.add_parser("select-gen", help="select source columns for a target matrix"),
-                 need_l=True)
+                 need_l=True, seeded=False)
     gen.add_argument("--target", required=True, help="target matrix file (same --format)")
 
     sk = common(sub.add_parser("sketch", help="emit the sketched matrix"))
@@ -74,8 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--r", type=int, help="sketch dimension (identity defaults to n)")
     dist.add_argument("--sketch", default="gaussian", choices=KINDS)
     dist.add_argument("--partitions", type=int, default=1)
-    dist.add_argument("--assignment", default="contiguous",
-                      choices=distributed.ASSIGNMENTS)
     dist.add_argument("--threads", type=int, default=None,
                       help="must be >= 1 but no longer changes the run: the map phase "
                            "runs on one thread, which measured faster than a pool on 2 cores")
@@ -86,8 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     base.add_argument("--r", type=int,
                       help="singular-vector count for sketch-svd (default: l)")
     base.add_argument("--partitions", type=int, default=1)
-    base.add_argument("--assignment", default="contiguous",
-                      choices=distributed.ASSIGNMENTS)
 
     ev = common(sub.add_parser("eval", help="relative accuracy of an index list"))
     ev.add_argument("--l", type=int, help="expected number of indices (checked if given)")
@@ -155,7 +155,7 @@ def _run(args) -> int:
         if args.summary:
             summary = RunSummary(
                 method="greedy",
-                parameters={"l": args.l, "seed": args.seed},
+                parameters={"l": args.l},
                 selected=res.indices,
                 f_value=reconstruction_error(a, res.indices),
                 exhausted=res.exhausted,
@@ -169,7 +169,7 @@ def _run(args) -> int:
             f_value, fbar_value = _projection_errors(a, res.indices, [a, b])
             summary = RunSummary(
                 method="generalized",
-                parameters={"l": args.l, "seed": args.seed},
+                parameters={"l": args.l},
                 selected=res.indices,
                 f_value=f_value,
                 fbar_value=fbar_value,
@@ -192,12 +192,7 @@ def _run(args) -> int:
 
     elif args.command == "select-dist":
         spec = _sketch_spec(args, a.shape[1])
-        config = DistributedConfig(
-            partitions=args.partitions,
-            budget=args.l,
-            sketch=spec,
-            assignment=args.assignment,
-        )
+        config = DistributedConfig(partitions=args.partitions, budget=args.l, sketch=spec)
         report = distributed_select(a, config, threads=args.threads)
         _write_lines([str(i) for i in report.selected], args.output)
         if args.summary:
@@ -208,7 +203,6 @@ def _run(args) -> int:
                     "r": spec.r,
                     "c": args.partitions,
                     "sketch": spec.kind,
-                    "assignment": args.assignment,
                     "seed": args.seed,
                 },
                 selected=report.selected,
@@ -271,12 +265,7 @@ def _run_baseline(args, a) -> list[int]:
     if args.method == "sketch-svd":
         k = args.r if args.r is not None else args.l
         return evaluate.sketch_svd_select(a, args.l, k, args.seed)
-    config = DistributedConfig(
-        partitions=args.partitions,
-        budget=args.l,
-        sketch=None,
-        assignment=args.assignment,
-    )
+    config = DistributedConfig(partitions=args.partitions, budget=args.l, sketch=None)
     return naive_distributed_baseline(a, config)
 
 

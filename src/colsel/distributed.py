@@ -35,8 +35,6 @@ __all__ = [
     "naive_distributed_baseline",
 ]
 
-ASSIGNMENTS = ("contiguous", "round-robin")
-
 
 @dataclass(frozen=True)
 class DistributedConfig:
@@ -49,17 +47,12 @@ class DistributedConfig:
     partitions: int
     budget: int
     sketch: SketchSpec | None
-    assignment: str = "contiguous"
 
     def __post_init__(self):
         if self.partitions < 1:
             raise ValueError(f"partition count must be >= 1, got {self.partitions}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.assignment not in ASSIGNMENTS:
-            raise ValueError(
-                f"unknown assignment {self.assignment!r}, expected one of {ASSIGNMENTS}"
-            )
 
     def resolved_partition_budget(self) -> int:
         # As in the paper, every partition selects up to the global budget, so
@@ -85,31 +78,22 @@ class PartitionResult:
     columns: np.ndarray
 
 
-def partition_columns(a: np.ndarray, c: int, assignment: str = "contiguous") -> list[Partition]:
-    """Split the columns of ``a`` into ``c`` blocks that tile them exactly once.
+def partition_columns(a: np.ndarray, c: int) -> list[Partition]:
+    """Split the columns of ``a`` into ``c`` contiguous blocks, as views of ``a``.
 
-    The blocks are views of ``a``, not copies: column slices for contiguous
-    blocks and strided ones for round-robin blocks.
+    The first ``n % c`` blocks hold one column more than the rest.  Other
+    layouts can be built as :class:`Partition` objects by hand.
     """
     n = a.shape[1]
     if c < 1 or c > n:
         raise ValueError(f"cannot split {n} columns into {c} partitions")
-    if assignment not in ASSIGNMENTS:
-        raise ValueError(
-            f"unknown assignment {assignment!r}, expected one of {ASSIGNMENTS}"
-        )
     parts = []
-    if assignment == "contiguous":
-        base, extra = divmod(n, c)
-        start = 0
-        for pid in range(c):
-            size = base + (1 if pid < extra else 0)
-            stop = start + size
-            parts.append(Partition(pid, a[:, start:stop], np.arange(start, stop)))
-            start = stop
-    else:
-        for pid in range(c):
-            parts.append(Partition(pid, a[:, pid::c], np.arange(pid, n, c)))
+    base, extra = divmod(n, c)
+    start = 0
+    for pid in range(c):
+        stop = start + base + (1 if pid < extra else 0)
+        parts.append(Partition(pid, a[:, start:stop], np.arange(start, stop)))
+        start = stop
     return parts
 
 
@@ -197,7 +181,7 @@ def distributed_select(
         raise ValueError(f"thread count must be >= 1, got {threads}")
     l_b = config.resolved_partition_budget()
     t0 = time.perf_counter()
-    parts = partition_columns(a, config.partitions, config.assignment)
+    parts = partition_columns(a, config.partitions)
     b = sketch_partitioned([(p.matrix, p.global_indices) for p in parts], config.sketch)
     t_sketch = time.perf_counter()
 
@@ -235,6 +219,6 @@ def naive_distributed_baseline(a: np.ndarray, config: DistributedConfig) -> list
     even when they are globally irrelevant.
     """
     l_b = config.resolved_partition_budget()
-    parts = partition_columns(a, config.partitions, config.assignment)
+    parts = partition_columns(a, config.partitions)
     _, winners, _ = reduce_phase([map_phase(p, None, l_b) for p in parts], None, config.budget)
     return winners

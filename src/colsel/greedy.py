@@ -26,9 +26,11 @@ column from it and never touches A.  Every 64 picks the stacked factors are
 folded into ``C`` and the stack restarts.  The fold runs in place, one block
 of 128 rows at a time: each diagonal block takes a symmetric product and the
 rest of the block row is mirrored into the block column, so ``C`` stays
-exactly symmetric by construction and no n x n temporary is formed.  A step
-costs one pass over ``C`` plus O(64 n) flops, and the folds add n^2 flops
-per pick on average.  A separate c-column target keeps every factor,
+exactly symmetric by construction and no n x n temporary is formed.  The
+folded ``C`` is the residual Gram matrix, and the scores restart from it,
+so their subtractive recursion cannot drift for more than 64 picks.  A
+step costs one pass over ``C`` plus O(64 n) flops, and the folds add n^2
+flops per pick on average.  A separate c-column target keeps every factor,
 because its Gram column comes from A: a step after k picks costs
 2cn + 2mn + O(k (n + c)) flops.
 
@@ -300,12 +302,15 @@ def _column_space_step(state: SelectionState, a: np.ndarray, b: np.ndarray | Non
 
     k = state.stacked
     state.gram_buffer = _put_row(state.gram_buffer, k, w_new)
-    if b is not None:
+    if not plain:
         state.cross_buffer = _put_row(state.cross_buffer, k, v_new)
     state.stacked = k + 1
     if plain and state.stacked == _FOLD:
         _fold(bta, state.gram_buffer[:_FOLD])
         state.stacked = 0
+        # C is now the residual Gram matrix E^T E: restart the scores from it.
+        state.score_num[:] = column_norms_sq(bta)
+        state.score_den[:] = np.diagonal(bta)
     return p
 
 
@@ -377,13 +382,15 @@ def _select(a: np.ndarray, b: np.ndarray | None, l: int) -> SelectionResult:
     """The selection loop shared by plain and generalized selection.
 
     Stops when the candidates run out, and, only with a separate target,
-    once that target is reconstructed to round-off.  Plain greedy stops only
-    on exhaustion: the energy test would end it early on badly scaled
-    inputs, returning fewer than ``l`` picks with neither flag set.
+    once that target is reconstructed to round-off.  Plain greedy, and a
+    target that is the source itself, stop only on exhaustion: the energy
+    test would end them early on badly scaled inputs, returning fewer than
+    ``l`` picks with neither flag set.
     """
     n = a.shape[1]
     if l < 1 or l > n:
         raise ValueError(f"budget l must satisfy 1 <= l <= {n}, got {l}")
+    b = None if b is a else b
     state = init_state(a, b)
     target_energy = None if b is None else frobenius_sq(b)
     exhausted = False

@@ -73,3 +73,15 @@ def badly_scaled_wide(m=20, n=64, k=4, seed=8):
     small *= 1e-3 / np.linalg.norm(small, axis=0)
     big *= 1e6 * np.linspace(1.0, 2.0, k) / np.linalg.norm(big, axis=0)
     return as_matrix(np.hstack([big, small]))
+
+
+def geometric_spectrum(m, n, seed, smallest=1e-10):
+    """Random singular vectors with singular values geometric from 1 to ``smallest``.
+
+    Ill-conditioned enough that greedy's subtractive score recursion drifts
+    visibly within a hundred picks unless it is restarted.
+    """
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((m, min(m, n))))
+    v, _ = np.linalg.qr(rng.standard_normal((n, min(m, n))))
+    return as_matrix((u * np.geomspace(1.0, smallest, min(m, n))) @ v.T)

@@ -38,7 +38,7 @@ def run_cli(capsys, argv):
 
 def test_select_identity_tie_break(eye3_csv, capsys):
     code, out, _ = run_cli(capsys, ["select", "--input", eye3_csv, "--format", "csv",
-                                    "--l", "3", "--seed", "7"])
+                                    "--l", "3"])
     assert code == 0
     assert out == "0\n1\n2\n"
 
@@ -138,8 +138,7 @@ def test_summary_document(tmp_path, capsys):
     doc = json.loads(summary_path.read_text())
     assert doc["method"] == "distributed"
     assert doc["parameters"] == {
-        "l": 4, "r": 6, "c": 2, "sketch": "gaussian",
-        "assignment": "contiguous", "seed": 21,
+        "l": 4, "r": 6, "c": 2, "sketch": "gaussian", "seed": 21,
     }
     assert len(doc["selected"]) == len(set(doc["selected"])) == 4
     assert doc["f_value"] > 0
@@ -166,31 +165,32 @@ def test_summary_of_each_subcommand(tmp_path, capsys, command):
     idx = tmp_path / "idx.txt"
     idx.write_text("3\n0\n9\n4\n")
     summary = tmp_path / "run.json"
-    common = ["--input", str(path), "--seed", "5", "--summary", str(summary)]
+    common = ["--input", str(path), "--summary", str(summary)]
+    seed = ["--seed", "5"]
     base = {"f_value": None, "fbar_value": None, "relative_accuracy": None,
             "columns_moved": None, "exhausted": False}
     if command == "select":
         argv = ["select", *common, "--l", "4"]
         picks = greedy_select(a, 4).indices
-        want = {**base, "method": "greedy", "parameters": {"l": 4, "seed": 5},
+        want = {**base, "method": "greedy", "parameters": {"l": 4},
                 "selected": picks, "f_value": reconstruction_error(a, picks)}
     elif command == "select-gen":
         argv = ["select-gen", *common, "--l", "4", "--target", str(target)]
         picks = generalized_select(a, b, 4).indices
-        want = {**base, "method": "generalized", "parameters": {"l": 4, "seed": 5},
+        want = {**base, "method": "generalized", "parameters": {"l": 4},
                 "selected": picks, "f_value": reconstruction_error(a, picks)}
     elif command == "sketch":
-        argv = ["sketch", *common, "--sketch", "gaussian", "--r", "6"]
+        argv = ["sketch", *common, *seed, "--sketch", "gaussian", "--r", "6"]
         want = {**base, "method": "sketch",
                 "parameters": {"r": 6, "sketch": "gaussian", "seed": 5}, "selected": []}
     elif command == "baseline":
-        argv = ["baseline", "uniform", *common, "--l", "4"]
+        argv = ["baseline", "uniform", *common, *seed, "--l", "4"]
         picks = uniform_select(16, 4, 5)
         want = {**base, "method": "baseline-uniform",
                 "parameters": {"l": 4, "seed": 5, "method": "uniform"},
                 "selected": picks, "f_value": reconstruction_error(a, picks)}
     else:
-        argv = ["eval", *common, "--trials", "5", "--indices", str(idx)]
+        argv = ["eval", *common, *seed, "--trials", "5", "--indices", str(idx)]
         picks = [3, 0, 9, 4]
         want = {**base, "method": "eval",
                 "parameters": {"l": 4, "trials": 5, "seed": 5},
@@ -246,10 +246,18 @@ def test_usage_errors_exit_2(eye3_csv, capsys):
 
 
 def test_threads_only_on_select_dist(tmp_path, eye3_csv, capsys):
-    # a subcommand rejects every option it does not read
+    # a subcommand rejects every option it does not read: greedy takes no
+    # seed, and partitions are always contiguous blocks
     for argv in (["select", "--input", eye3_csv, "--l", "2", "--threads", "2"],
                  ["baseline", "uniform", "--input", eye3_csv, "--l", "2", "--trials", "5"],
-                 ["sketch", "--input", eye3_csv, "--sketch", "identity", "--l", "3"]):
+                 ["sketch", "--input", eye3_csv, "--sketch", "identity", "--l", "3"],
+                 ["select", "--input", eye3_csv, "--l", "2", "--seed", "1"],
+                 ["select-gen", "--input", eye3_csv, "--target", eye3_csv, "--l", "2",
+                  "--seed", "1"],
+                 ["select-dist", "--input", eye3_csv, "--l", "2", "--sketch", "identity",
+                  "--assignment", "contiguous"],
+                 ["baseline", "naive-dist", "--input", eye3_csv, "--l", "2",
+                  "--assignment", "round-robin"]):
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
     code, out, _ = run_cli(capsys, ["select-dist", "--input", eye3_csv, "--l", "2",

@@ -47,26 +47,16 @@ def test_partition_single():
 
 def test_partition_contiguous_sizes():
     a = random_matrix(4, 10, seed=1)
-    parts = partition_columns(a, 3, "contiguous")
+    parts = partition_columns(a, 3)
     assert [p.matrix.shape[1] for p in parts] == [4, 3, 3]
     assert list(parts[1].global_indices) == [4, 5, 6]
+    assert np.array_equal(parts[1].matrix, a[:, 4:7])
 
 
-def test_partition_round_robin():
-    a = random_matrix(4, 7, seed=2)
-    parts = partition_columns(a, 2, "round-robin")
-    assert list(parts[0].global_indices) == [0, 2, 4, 6]
-    assert list(parts[1].global_indices) == [1, 3, 5]
-    assert np.array_equal(parts[1].matrix, a[:, [1, 3, 5]])
-
-
-@pytest.mark.parametrize("assignment", ["contiguous", "round-robin"])
-def test_pipeline_holds_no_copy_of_the_input(assignment):
+def test_pipeline_holds_no_copy_of_the_input():
     a = planted_partitioned(200, 1600, n_generators=20, c=4, seed=3)
-    assert all(np.shares_memory(p.matrix, a) for p in partition_columns(a, 4, assignment))
-    cfg = DistributedConfig(
-        partitions=4, budget=12, sketch=SketchSpec("gaussian", r=32, seed=5), assignment=assignment
-    )
+    assert all(np.shares_memory(p.matrix, a) for p in partition_columns(a, 4))
+    cfg = DistributedConfig(partitions=4, budget=12, sketch=SketchSpec("gaussian", r=32, seed=5))
     tracemalloc.start()
     try:
         distributed_select(a, cfg)
@@ -82,7 +72,7 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         partition_columns(a, 4)
     with pytest.raises(ValueError):
-        partition_columns(a, 2, "striped")
+        partition_columns(a, 0)
 
 
 def test_map_phase_target_in_span():
@@ -124,8 +114,9 @@ def test_reduce_single_partition_passthrough():
 
 
 def test_map_phase_without_target_is_greedy_on_the_block():
+    # A hand-built partition over a strided view: map_phase takes any index map.
     a = random_matrix(10, 14, seed=25)
-    part = partition_columns(a, 3, "round-robin")[1]
+    part = Partition(pid=1, matrix=a[:, 1::3], global_indices=np.arange(1, 14, 3))
     res = map_phase(part, None, l_b=3)
     want = greedy_select(part.matrix, 3).indices
     assert res.global_indices == [int(part.global_indices[j]) for j in want]
@@ -269,8 +260,6 @@ def test_config_validation():
         DistributedConfig(partitions=0, budget=3, sketch=spec)
     with pytest.raises(ValueError):
         DistributedConfig(partitions=2, budget=0, sketch=spec)
-    with pytest.raises(ValueError, match="unknown assignment"):
-        DistributedConfig(partitions=2, budget=3, sketch=spec, assignment="striped")
     cfg = DistributedConfig(partitions=4, budget=10, sketch=spec)
     assert cfg.resolved_partition_budget() == 10
     with pytest.raises(ValueError, match="requires a sketch"):
@@ -292,14 +281,13 @@ def test_naive_baseline_deterministic():
     assert naive_distributed_baseline(a, cfg) == naive_distributed_baseline(a, cfg)
 
 
-@pytest.mark.parametrize("assignment", ["contiguous", "round-robin"])
-def test_naive_baseline_matches_written_out_reference(assignment):
+def test_naive_baseline_matches_written_out_reference():
     a = random_matrix(12, 30, seed=27)
-    cfg = DistributedConfig(partitions=3, budget=6, sketch=None, assignment=assignment)
+    cfg = DistributedConfig(partitions=3, budget=6, sketch=None)
     l_b = cfg.resolved_partition_budget()
     # Greedy on each block, then greedy on the union of the picks.
     union_globals, union_blocks = [], []
-    for part in partition_columns(a, 3, assignment):
+    for part in partition_columns(a, 3):
         res = greedy_select(part.matrix, min(l_b, part.matrix.shape[1]))
         union_globals.extend(int(part.global_indices[j]) for j in res.indices)
         union_blocks.append(part.matrix[:, res.indices])

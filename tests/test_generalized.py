@@ -84,12 +84,18 @@ def test_init_rejects_row_mismatch():
 
 
 def test_reduction_to_plain_greedy_is_exact():
-    for seed in range(8):
-        a = random_matrix(10, 13, seed=seed + 60)
-        gen = generalized_select(a, a, 6)
-        plain = greedy_select(a, 6)
+    # The badly scaled inputs would trip a separate target's energy stop
+    # after the 4 large columns; a target that is the source runs as plain
+    # greedy and takes all 10 picks.
+    inputs = [(random_matrix(10, 13, seed=seed + 60), 6) for seed in range(8)]
+    inputs += [(badly_scaled_wide(seed=seed), 10) for seed in range(8, 14)]
+    for a, l in inputs:
+        gen = generalized_select(a, a, l)
+        plain = greedy_select(a, l)
         assert gen.indices == plain.indices
         assert gen.gains == plain.gains
+        assert (gen.exhausted, gen.target_reconstructed) == (plain.exhausted, False)
+        assert len(gen.indices) == l
 
 
 def test_reduction_to_plain_greedy_is_exact_on_tall_input():
