@@ -8,7 +8,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Every submodule, with the names the package re-exports from it.
+# The public names, each under the submodule that defines it: the only
+# declaration of the API, since no submodule declares __all__.
 _EXPORTS = {
     "cli": (),
     "distributed": (

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -162,7 +163,12 @@ def _run(args) -> int:
             )
 
     elif args.command == "select-gen":
-        b = load_matrix(args.target, args.format)
+        # The source file as its own target runs as plain greedy, which a
+        # second loaded copy of it would not.
+        if os.path.samefile(args.target, args.input):
+            b = a
+        else:
+            b = load_matrix(args.target, args.format)
         res = generalized_select(a, b, args.l)
         _write_lines([str(i) for i in res.indices], args.output)
         if args.summary:

@@ -23,18 +23,6 @@ from .greedy import SelectionResult, _select
 from .linalg import _projection_errors
 from .sketch import SketchSpec, sketch_partitioned
 
-__all__ = [
-    "DistributedConfig",
-    "Partition",
-    "PartitionResult",
-    "DistributedReport",
-    "partition_columns",
-    "map_phase",
-    "reduce_phase",
-    "distributed_select",
-    "naive_distributed_baseline",
-]
-
 
 @dataclass(frozen=True)
 class DistributedConfig:
@@ -118,8 +106,9 @@ def reduce_phase(
 
     With ``b=None`` the union itself is the target.  Returns the selection
     over the concatenated candidates, the winners' global indices, and the
-    winners' column data.  If the union holds fewer than ``l`` columns,
-    everything selectable is returned and the exhausted flag is set.
+    winners' column data.  The exhausted flag is set whenever fewer than
+    ``l`` columns come back: when the union holds fewer than ``l`` columns,
+    when the candidates run out, and when ``b`` is already reconstructed.
     """
     if not results:
         raise ValueError("reduce phase needs at least one partition result")
@@ -139,7 +128,7 @@ def reduce_phase(
     )
     k = candidates.shape[1]
     selection = _select(candidates, b, min(l, k))
-    if k < l:
+    if k < l or selection.target_reconstructed:
         selection = replace(selection, exhausted=True)
     winners = [union_globals[j] for j in selection.indices]
     data = np.asfortranarray(candidates[:, selection.indices])

@@ -27,17 +27,6 @@ from .linalg import (
 )
 from .seeds import derive_seed
 
-__all__ = [
-    "MetricUndefinedError",
-    "evaluate_selection",
-    "relative_accuracy",
-    "uniform_select",
-    "hybrid_select",
-    "sketch_svd_select",
-    "naive_greedy_oracle",
-    "naive_generalized_oracle",
-]
-
 # Up to this size the best-rank error comes from a dense SVD; beyond it,
 # from the eigenvalues of the smaller Gram matrix.
 EXACT_SVD_LIMIT = 512

@@ -11,8 +11,6 @@ import numpy as np
 
 from .greedy import SelectionResult, _select, init_state, select_next
 
-__all__ = ["generalized_init", "generalized_select"]
-
 generalized_init = init_state
 _select_next_generalized = select_next
 

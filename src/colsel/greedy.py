@@ -50,8 +50,6 @@ import numpy as np
 
 from .linalg import RANK_TOLERANCE, column_norms_sq, frobenius_sq
 
-__all__ = ["SelectionState", "SelectionResult", "init_state", "select_next", "greedy_select"]
-
 # Column block width of the block-wise Gram-form initial scores, and row
 # block height of the fold.
 _BLOCK = 128

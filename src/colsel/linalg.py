@@ -20,18 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "DegenerateBasisError",
-    "SvdResult",
-    "as_matrix",
-    "check_column_set",
-    "column_norms_sq",
-    "frobenius_sq",
-    "orthonormal_basis",
-    "reconstruction_error",
-    "randomized_svd",
-]
-
 # A basis column whose residual against the previously orthogonalized
 # columns falls below this fraction of its original norm is treated as
 # linearly dependent.  Scale-invariant; the greedy module's

@@ -15,8 +15,6 @@ import numpy as np
 
 from .linalg import as_matrix
 
-__all__ = ["MatrixFormatError", "load_matrix", "save_matrix", "MAGIC", "FORMATS"]
-
 MAGIC = b"CSELMAT1"
 FORMATS = ("csv", "coordinate", "binary")
 

@@ -30,8 +30,6 @@ import numpy as np
 
 from .seeds import as_uint64, column_seed, column_seeds, counter_words
 
-__all__ = ["SketchSpec", "sketch_row", "sketch_matrix", "sketch_partitioned"]
-
 KINDS = ("gaussian", "sign", "sparse-sign", "identity")
 
 # Columns per sketch product: bounds the stacked projection rows held at once

@@ -33,6 +33,17 @@ def planted_lowrank(m, n, rank, noise_level, seed):
     return as_matrix(signal + noise)
 
 
+def rank_two_beside_tiny():
+    """A rank-2 20 x 30 block beside 10 columns of entries 1e-7 times N(0, 1).
+
+    A sketch of it is reconstructed to round-off by two columns, so a
+    selection against that sketch stops after two picks, whatever its budget.
+    """
+    rng = np.random.default_rng(0)
+    low = rng.standard_normal((20, 2)) @ rng.standard_normal((2, 30))
+    return as_matrix(np.hstack([low, 1e-7 * rng.standard_normal((20, 10))]))
+
+
 def planted_partitioned(m, n, n_generators, c, seed, distractors_per_part=20):
     """Generator columns concentrated in partition 0 of a contiguous split.
 

@@ -20,7 +20,7 @@ from colsel import (
     uniform_select,
 )
 from colsel.cli import main
-from instances import planted_lowrank, random_matrix
+from instances import badly_scaled_wide, planted_lowrank, random_matrix, rank_two_beside_tiny
 
 
 @pytest.fixture
@@ -63,14 +63,32 @@ def test_select_dist_pipeline_collapse(tmp_path, capsys):
 
 
 def test_select_gen_with_self_target(tmp_path, capsys):
-    a = random_matrix(9, 11, seed=5)
+    # a target read as a second copy of the source would stop the badly
+    # scaled inputs after 4 picks
+    inputs = [(random_matrix(9, 11, seed=5), 4)]
+    inputs += [(badly_scaled_wide(seed=seed), 10) for seed in range(8, 14)]
     path = tmp_path / "a.csv"
-    save_matrix(a, path, "csv")
-    code, plain, _ = run_cli(capsys, ["select", "--input", str(path), "--l", "4"])
-    code2, gen, _ = run_cli(capsys, ["select-gen", "--input", str(path),
-                                     "--target", str(path), "--l", "4"])
-    assert (code, code2) == (0, 0)
-    assert gen == plain
+    for a, l in inputs:
+        save_matrix(a, path, "csv")
+        code, plain, _ = run_cli(capsys, ["select", "--input", str(path), "--l", str(l)])
+        code2, gen, _ = run_cli(capsys, ["select-gen", "--input", str(path),
+                                         "--target", str(path), "--l", str(l)])
+        assert (code, code2) == (0, 0)
+        assert gen == plain
+        assert len(plain.split()) == l
+
+
+def test_select_dist_summary_flags_a_reconstructed_target(tmp_path, capsys):
+    path, summary = tmp_path / "a.csv", tmp_path / "run.json"
+    save_matrix(rank_two_beside_tiny(), path, "csv")
+    code, out, _ = run_cli(capsys, [
+        "select-dist", "--input", str(path), "--l", "6", "--partitions", "4",
+        "--sketch", "gaussian", "--r", "8", "--seed", "1", "--summary", str(summary),
+    ])
+    assert code == 0
+    doc = json.loads(summary.read_text())
+    assert len(out.split()) == len(doc["selected"]) == 2
+    assert doc["exhausted"]
 
 
 def test_eval_agrees_with_library(tmp_path, capsys):
@@ -274,6 +292,9 @@ def test_data_errors_exit_3(tmp_path, eye3_csv, capsys, monkeypatch):
     assert main(["select", "--input", eye3_csv, "--l", "9"]) == 3
     capsys.readouterr()
     assert main(["select", "--input", str(tmp_path / "missing.csv"), "--l", "1"]) == 3
+    capsys.readouterr()
+    assert main(["select-gen", "--input", eye3_csv, "--l", "1",
+                 "--target", str(tmp_path / "missing.csv")]) == 3
     capsys.readouterr()
     idx = tmp_path / "idx.txt"
     for bad_indices in ("0\n0\n", "0\n3\n", "-1\n"):  # duplicate, out of range

@@ -20,7 +20,7 @@ from colsel import (
     sketch_matrix,
 )
 from colsel.distributed import Partition, PartitionResult
-from instances import planted_partitioned, random_matrix
+from instances import planted_partitioned, random_matrix, rank_two_beside_tiny
 
 
 def target_error(a, cols, b):
@@ -201,6 +201,14 @@ def test_reduce_exhaustion_flag_when_union_small():
     selection, winners, _ = reduce_phase([mapped], b, l=5)
     assert selection.exhausted
     assert len(winners) <= 2
+
+
+def test_reduce_flags_a_reconstructed_target():
+    # the sketch is reconstructed after two picks, so the reduce stops short of l
+    a = rank_two_beside_tiny()
+    report = distributed_select(a, gaussian_config(c=4, l=6, r=8, seed=1))
+    assert len(report.selected) == 2
+    assert report.reduce_exhausted
 
 
 @pytest.mark.parametrize("seed", range(5))
