@@ -10,12 +10,10 @@ derived from it deterministically.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import evaluate
 from .distributed import DistributedConfig, distributed_select, naive_distributed_baseline
@@ -29,19 +27,9 @@ from .sketch import KINDS, SketchSpec, sketch_matrix
 BASELINES = ("uniform", "hybrid-uni", "hybrid-col", "hybrid-svd", "sketch-svd", "naive-dist")
 
 
-@dataclass
-class RunSummary:
-    """Structured result document written as JSON when --summary is given."""
-
-    method: str
-    parameters: dict
-    selected: list[int]
-    f_value: float | None = None
-    fbar_value: float | None = None
-    relative_accuracy: float | None = None
-    columns_moved: int | None = None
-    exhausted: bool = False
-    timings: dict = field(default_factory=dict)
+# The --summary document's keys; a value that a subcommand does not set is null.
+_SUMMARY_KEYS = ("method", "parameters", "selected", "f_value", "fbar_value",
+                 "relative_accuracy", "columns_moved", "exhausted", "timings")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,23 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_lines(lines: list[str], output: str | None) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_summary(summary: RunSummary, path: str | None) -> None:
-    if not path:
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(dataclasses.asdict(summary), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _sketch_spec(args, n: int) -> SketchSpec:
     kind = args.sketch
     r = args.r
@@ -148,19 +119,14 @@ def _read_indices(path: str | None) -> list[int]:
 def _run(args) -> int:
     t0 = time.perf_counter()
     a = load_matrix(args.input, args.format)
-    summary = None
+    # Each branch computes its picks and summary values before anything is written.
+    timings, lines = {}, None
 
     if args.command == "select":
-        res = greedy_select(a, args.l)
-        _write_lines([str(i) for i in res.indices], args.output)
+        selected = greedy_select(a, args.l).indices
         if args.summary:
-            summary = RunSummary(
-                method="greedy",
-                parameters={"l": args.l},
-                selected=res.indices,
-                f_value=reconstruction_error(a, res.indices),
-                exhausted=res.exhausted,
-            )
+            summary = {"method": "greedy", "parameters": {"l": args.l},
+                       "f_value": reconstruction_error(a, selected)}
 
     elif args.command == "select-gen":
         # The source file as its own target runs as plain greedy, which a
@@ -169,92 +135,75 @@ def _run(args) -> int:
             b = a
         else:
             b = load_matrix(args.target, args.format)
-        res = generalized_select(a, b, args.l)
-        _write_lines([str(i) for i in res.indices], args.output)
+        selected = generalized_select(a, b, args.l).indices
         if args.summary:
-            f_value, fbar_value = _projection_errors(a, res.indices, [a, b])
-            summary = RunSummary(
-                method="generalized",
-                parameters={"l": args.l},
-                selected=res.indices,
-                f_value=f_value,
-                fbar_value=fbar_value,
-                exhausted=res.exhausted or res.target_reconstructed,
-            )
+            f_value, fbar_value = _projection_errors(a, selected, [a, b])
+            summary = {"method": "generalized", "parameters": {"l": args.l},
+                       "f_value": f_value, "fbar_value": fbar_value}
 
     elif args.command == "sketch":
         spec = _sketch_spec(args, a.shape[1])
         b = sketch_matrix(a, spec)
+        # A sketch file takes --format; stdout takes CSV rows.
         if args.output:
             save_matrix(b, args.output, args.format)
         else:
-            _write_lines([",".join(f"{v:.17g}" for v in row) for row in b], None)
-        if args.summary:
-            summary = RunSummary(
-                method="sketch",
-                parameters={"r": spec.r, "sketch": spec.kind, "seed": args.seed},
-                selected=[],
-            )
+            sys.stdout.write("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in b))
+        selected = []
+        summary = {"method": "sketch",
+                   "parameters": {"r": spec.r, "sketch": spec.kind, "seed": args.seed}}
 
     elif args.command == "select-dist":
         spec = _sketch_spec(args, a.shape[1])
         config = DistributedConfig(partitions=args.partitions, budget=args.l, sketch=spec)
         report = distributed_select(a, config, threads=args.threads)
-        _write_lines([str(i) for i in report.selected], args.output)
-        if args.summary:
-            summary = RunSummary(
-                method="distributed",
-                parameters={
-                    "l": args.l,
-                    "r": spec.r,
-                    "c": args.partitions,
-                    "sketch": spec.kind,
-                    "seed": args.seed,
-                },
-                selected=report.selected,
-                f_value=report.exact_error,
-                fbar_value=report.target_error,
-                columns_moved=report.columns_moved,
-                exhausted=report.reduce_exhausted,
-                timings=dict(report.timings),
-            )
+        selected, timings = report.selected, report.timings
+        summary = {
+            "method": "distributed",
+            "parameters": {"l": args.l, "r": spec.r, "c": args.partitions,
+                           "sketch": spec.kind, "seed": args.seed},
+            "f_value": report.exact_error,
+            "fbar_value": report.target_error,
+            "columns_moved": report.columns_moved,
+        }
 
     elif args.command == "baseline":
-        indices = _run_baseline(args, a)
-        _write_lines([str(i) for i in indices], args.output)
+        selected = _run_baseline(args, a)
         if args.summary:
-            summary = RunSummary(
-                method=f"baseline-{args.method}",
-                parameters={"l": args.l, "seed": args.seed, "method": args.method},
-                selected=indices,
-                f_value=reconstruction_error(a, indices),
-            )
+            summary = {"method": f"baseline-{args.method}",
+                       "parameters": {"l": args.l, "seed": args.seed, "method": args.method},
+                       "f_value": reconstruction_error(a, selected)}
 
     elif args.command == "eval":
-        indices = _read_indices(args.indices)
-        if args.l is not None and args.l != len(indices):
+        selected = _read_indices(args.indices)
+        if args.l is not None and args.l != len(selected):
             raise ValueError(
-                f"--l {args.l} does not match the {len(indices)} provided indices"
+                f"--l {args.l} does not match the {len(selected)} provided indices"
             )
         started = time.perf_counter()
         error, accuracy = evaluate.evaluate_selection(
-            a, indices, uniform_trials=args.trials, seed=args.seed
+            a, selected, uniform_trials=args.trials, seed=args.seed
         )
-        duration = time.perf_counter() - started
-        _write_lines([f"{accuracy:.17g}"], args.output)
-        if args.summary:
-            summary = RunSummary(
-                method="eval",
-                parameters={"l": len(indices), "trials": args.trials, "seed": args.seed},
-                selected=indices,
-                f_value=error,
-                relative_accuracy=accuracy,
-                timings={"eval": duration},
-            )
+        timings = {"eval": time.perf_counter() - started}
+        lines = [f"{accuracy:.17g}"]
+        summary = {"method": "eval",
+                   "parameters": {"l": len(selected), "trials": args.trials, "seed": args.seed},
+                   "f_value": error, "relative_accuracy": accuracy}
 
-    if summary is not None:
-        summary.timings.setdefault("total", time.perf_counter() - t0)
-        _write_summary(summary, args.summary)
+    if args.command != "sketch":
+        text = "".join(line + "\n" for line in lines or map(str, selected))
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    if args.summary:
+        doc = {**dict.fromkeys(_SUMMARY_KEYS), **summary, "selected": selected,
+               "exhausted": len(selected) < summary["parameters"].get("l", 0),
+               "timings": {"total": time.perf_counter() - t0, **timings}}
+        with open(args.summary, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, indent=2, sort_keys=True)
+            handle.write("\n")
     return 0
 
 

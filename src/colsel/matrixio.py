@@ -157,6 +157,7 @@ def save_matrix(matrix: np.ndarray, path, fmt: str) -> None:
         with open(path, "wb") as handle:
             handle.write(MAGIC)
             handle.write(struct.pack("<QQ", a.shape[0], a.shape[1]))
-            handle.write(np.asarray(a, dtype="<f8").tobytes(order="F"))
+            # The column-major buffer itself, which tobytes would copy first.
+            handle.write(np.asarray(a, dtype="<f8").ravel(order="F"))
     else:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")

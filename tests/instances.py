@@ -96,3 +96,22 @@ def geometric_spectrum(m, n, seed, smallest=1e-10):
     u, _ = np.linalg.qr(rng.standard_normal((m, min(m, n))))
     v, _ = np.linalg.qr(rng.standard_normal((n, min(m, n))))
     return as_matrix((u * np.geomspace(1.0, smallest, min(m, n))) @ v.T)
+
+
+def zipf_planted(m, n, seed, rank=128, noise=0.1):
+    """Unit directions recurring in shares of the columns proportional to 1/i.
+
+    The benchmark's Zipf-planted input: direction i fills about
+    n / (i · H_rank) columns, with a random sign each, plus Gaussian noise
+    of norm about ``noise`` per column.
+    """
+    rng = np.random.default_rng(seed)
+    basis = rng.standard_normal((m, rank))
+    basis /= np.linalg.norm(basis, axis=0)
+    share = n / np.arange(1, rank + 1) / np.sum(1.0 / np.arange(1, rank + 1))
+    counts = np.floor(share).astype(int)
+    counts[np.argsort(counts - share)[: n - counts.sum()]] += 1
+    directions = rng.permutation(np.repeat(np.arange(rank), counts))
+    signs = rng.choice([-1.0, 1.0], size=n)
+    noise_part = rng.standard_normal((m, n)) * (noise / np.sqrt(m))
+    return as_matrix(basis[:, directions] * signs + noise_part)

@@ -16,8 +16,10 @@ import colsel
 
 CHILD = """
 import json
-from colsel import DistributedConfig, SketchSpec, distributed_select, greedy_select
-from instances import geometric_spectrum, planted_lowrank, planted_partitioned
+from colsel import (DistributedConfig, SketchSpec, distributed_select, generalized_select,
+                    greedy_select, sketch_matrix)
+from instances import (geometric_spectrum, planted_lowrank, planted_partitioned, random_matrix,
+                       zipf_planted)
 
 picks = {}
 for seed in (0, 1):
@@ -28,6 +30,15 @@ picks["planted-lowrank"] = greedy_select(a, 80).indices
 a = planted_partitioned(200, 1600, n_generators=20, c=4, seed=0)
 cfg = DistributedConfig(partitions=4, budget=24, sketch=SketchSpec("gaussian", r=64, seed=0))
 picks["distributed"] = distributed_select(a, cfg).selected
+for seed in (0, 1):
+    # wide: plain greedy and a 300x700 target take the row-space step, a
+    # 48-column sketch the column-space step with a separate target
+    a = zipf_planted(300, 2500, seed=seed)
+    picks[f"zipf-{seed}"] = greedy_select(a, 64).indices
+    sketch = sketch_matrix(a, SketchSpec("gaussian", r=48, seed=seed))
+    picks[f"zipf-sketch-{seed}"] = generalized_select(a, sketch, 40).indices
+    target = random_matrix(300, 700, seed=seed)
+    picks[f"zipf-random-target-{seed}"] = generalized_select(a, target, 60).indices
 print(json.dumps(picks))
 """
 

@@ -9,10 +9,13 @@ import pytest
 
 import colsel
 from colsel import (
+    DistributedConfig,
     SketchSpec,
     derive_seed,
+    distributed_select,
     generalized_select,
     greedy_select,
+    load_matrix,
     reconstruction_error,
     relative_accuracy,
     save_matrix,
@@ -20,7 +23,13 @@ from colsel import (
     uniform_select,
 )
 from colsel.cli import main
-from instances import badly_scaled_wide, planted_lowrank, random_matrix, rank_two_beside_tiny
+from instances import (
+    badly_scaled_wide,
+    planted_lowrank,
+    random_matrix,
+    rank_deficient_matrix,
+    rank_two_beside_tiny,
+)
 
 
 @pytest.fixture
@@ -44,8 +53,6 @@ def test_select_identity_tie_break(eye3_csv, capsys):
 
 
 def test_select_dist_pipeline_collapse(tmp_path, capsys):
-    from colsel import greedy_select, load_matrix
-
     a = random_matrix(10, 14, seed=31)
     path = tmp_path / "a.csv"
     save_matrix(a, path, "csv")
@@ -121,8 +128,6 @@ def test_sketch_identity_round_trip(tmp_path, capsys):
         "--sketch", "identity", "--output", str(out),
     ])
     assert code == 0
-    from colsel import load_matrix
-
     assert np.array_equal(load_matrix(out, "binary"), a)
 
 
@@ -140,6 +145,24 @@ def test_baseline_methods_smoke(tmp_path, capsys):
         indices = [int(line) for line in out.split()]
         assert len(indices) == 4
         assert len(set(indices)) == 4
+
+
+def test_baseline_summary_flags_fewer_picks_than_l(tmp_path, capsys):
+    path, summary = tmp_path / "a.csv", tmp_path / "run.json"
+    save_matrix(rank_deficient_matrix(12, 10, rank=3, seed=0), path, "csv")
+    common = ["--input", str(path), "--l", "5", "--partitions", "2", "--summary", str(summary)]
+    for method in ("naive-dist", "hybrid-uni", "sketch-svd"):
+        code, out, err = run_cli(capsys, ["baseline", method, *common])
+        assert code == 0, (method, err)
+        doc = json.loads(summary.read_text())
+        assert len(out.split()) == len(doc["selected"]) == 3, method
+        assert doc["exhausted"] is True, method
+    # uniform picks 5 columns of a rank-3 matrix: the summary's error is
+    # undefined, and the run fails before it writes any pick
+    code, out, err = run_cli(capsys, ["baseline", "uniform", *common])
+    assert code == 4
+    assert out == ""
+    assert "numerical degeneracy" in err
 
 
 def test_summary_document(tmp_path, capsys):
@@ -162,6 +185,16 @@ def test_summary_document(tmp_path, capsys):
     assert doc["f_value"] > 0
     assert doc["fbar_value"] > 0
     assert doc["columns_moved"] == 8  # each of the 2 partitions emits l = 4
+    assert doc["exhausted"] is False
+    config = DistributedConfig(partitions=2, budget=4,
+                               sketch=SketchSpec("gaussian", r=6, seed=derive_seed(21, "sketch")))
+    report = distributed_select(load_matrix(path, "csv"), config)
+    assert doc["selected"] == report.selected
+    assert doc["f_value"] == report.exact_error
+    assert doc["fbar_value"] == report.target_error
+    assert doc["columns_moved"] == report.columns_moved
+    assert set(doc) == {"method", "parameters", "selected", "f_value", "fbar_value",
+                        "relative_accuracy", "columns_moved", "exhausted", "timings"}
     assert set(doc["timings"]) >= {"sketch", "map", "reduce", "total"}
     written = (tmp_path / "idx.txt").read_text().split()
     assert [int(v) for v in written] == doc["selected"]

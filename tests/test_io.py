@@ -96,6 +96,19 @@ def test_binary_load_holds_one_copy_of_the_payload(tmp_path):
     assert peak <= 1.06 * a.nbytes
 
 
+def test_binary_save_does_not_copy_the_payload(tmp_path):
+    a = random_matrix(200, 300, seed=2)
+    tracemalloc.start()
+    try:
+        save_matrix(a, tmp_path / "mat.bin", "binary")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # only the finite-value check's boolean mask, 12.5% of the payload; a
+    # serialized copy of the payload would be 100%
+    assert peak <= 0.25 * a.nbytes
+
+
 def test_binary_rejects_corruption(tmp_path):
     a = random_matrix(3, 2, seed=1)
     path = tmp_path / "mat.bin"
