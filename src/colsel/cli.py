@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -129,12 +128,7 @@ def _run(args) -> int:
                        "f_value": reconstruction_error(a, selected)}
 
     elif args.command == "select-gen":
-        # The source file as its own target runs as plain greedy, which a
-        # second loaded copy of it would not.
-        if os.path.samefile(args.target, args.input):
-            b = a
-        else:
-            b = load_matrix(args.target, args.format)
+        b = load_matrix(args.target, args.format)
         selected = generalized_select(a, b, args.l).indices
         if args.summary:
             f_value, fbar_value = _projection_errors(a, selected, [a, b])

@@ -107,8 +107,8 @@ def reduce_phase(
     With ``b=None`` the union itself is the target.  Returns the selection
     over the concatenated candidates, the winners' global indices, and the
     winners' column data.  The exhausted flag is set whenever fewer than
-    ``l`` columns come back: when the union holds fewer than ``l`` columns,
-    when the candidates run out, and when ``b`` is already reconstructed.
+    ``l`` columns come back, whether the union holds fewer than ``l``
+    columns, the candidates run out or ``b`` is already reconstructed.
     """
     if not results:
         raise ValueError("reduce phase needs at least one partition result")
@@ -128,8 +128,7 @@ def reduce_phase(
     )
     k = candidates.shape[1]
     selection = _select(candidates, b, min(l, k))
-    if k < l or selection.target_reconstructed:
-        selection = replace(selection, exhausted=True)
+    selection = replace(selection, exhausted=len(selection.indices) < l)
     winners = [union_globals[j] for j in selection.indices]
     data = np.asfortranarray(candidates[:, selection.indices])
     return selection, winners, data

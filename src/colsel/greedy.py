@@ -89,13 +89,13 @@ class SelectionState:
     consistent without storing residuals.  ``gram_factors`` holds the
     ``stacked`` rows not yet folded into ``bta``, and ``cross_factors``
     mirrors them in the target's column space (``None`` without a target).
-    When ``bta`` is ``A^T A`` (plain greedy, or a target that is the source
-    itself), every 64 rows are folded into it, so that it holds ``A^T A``
-    less their outer products.  The fold updates ``bta`` in place, block
-    row by block row, and keeps it exactly symmetric by construction: a
-    step costs one pass over ``bta`` plus O(64 n) flops, and a fold every
-    64 picks costs 64 n^2 flops.  A separate c-column target folds nothing,
-    and a step after k picks costs 2cn + 2mn + O(k (n + c)) flops.
+    For plain greedy ``bta`` is ``A^T A``, and every 64 rows are folded
+    into it, so that it holds ``A^T A`` less their outer products.  The
+    fold updates ``bta`` in place, block row by block row, and keeps it
+    exactly symmetric by construction: a step costs one pass over ``bta``
+    plus O(64 n) flops, and a fold every 64 picks costs 64 n^2 flops.  A
+    separate c-column target folds nothing, and a step after k picks costs
+    2cn + 2mn + O(k (n + c)) flops.
 
     With ``gram``, ``basis`` is a k x m array whose orthonormal rows span
     the selected columns, and the factors stay empty.  A step after k picks
@@ -276,9 +276,9 @@ def _column_space_step(state: SelectionState, a: np.ndarray, b: np.ndarray | Non
     """One step on the stacked factors and the kept ``C``."""
     w = state.gram_factors
     bta = state.bta
-    # C is A^T A less the folded factors for plain greedy and for a target
-    # that is the source itself, which takes plain greedy's arithmetic.
-    plain = b is None or b is a
+    # Only plain greedy's C is A^T A less the folded factors.  Any target
+    # passed here, ``a`` itself included, is separate and keeps every factor.
+    plain = b is None
 
     def gram_col(p: int) -> tuple[float, np.ndarray]:
         # That C is symmetric: its contiguous row p is column p.
@@ -352,10 +352,16 @@ def select_next(state: SelectionState, a: np.ndarray, b: np.ndarray | None = Non
     smallest index (argmax returns the first maximum).  A candidate whose
     recomputed pivot turns out to be negligible is deactivated and the
     next best one is taken; :class:`ExhaustedError` is raised once no
-    active candidate remains.
+    active candidate remains, and once there are as many picks as ``a`` has
+    rows.
     """
     if (b is None) != (state.cross_buffer is None):
         raise ValueError("select_next needs the same target that init_state was given")
+    if len(state.selected) == a.shape[0]:
+        # m independent picks span every column; rounding in the score
+        # recursion could otherwise let one more through.
+        state.active[:] = False
+        raise ExhaustedError("the picks already span the column space")
     if state.gram is None:
         p = _column_space_step(state, a, b)
     else:
@@ -380,15 +386,17 @@ def _select(a: np.ndarray, b: np.ndarray | None, l: int) -> SelectionResult:
     """The selection loop shared by plain and generalized selection.
 
     Stops when the candidates run out, and, only with a separate target,
-    once that target is reconstructed to round-off.  Plain greedy, and a
-    target that is the source itself, stop only on exhaustion: the energy
-    test would end them early on badly scaled inputs, returning fewer than
-    ``l`` picks with neither flag set.
+    once that target is reconstructed to round-off.  A target that holds
+    the source's values, the same array or a copy, is no separate target:
+    it runs as plain greedy, which stops only on exhaustion.  The energy
+    test would end it early on badly scaled inputs, returning fewer than
+    ``l`` picks.  This is the one place that decides it.
     """
     n = a.shape[1]
     if l < 1 or l > n:
         raise ValueError(f"budget l must satisfy 1 <= l <= {n}, got {l}")
-    b = None if b is a else b
+    if b is not None and np.array_equal(b, a):
+        b = None
     state = init_state(a, b)
     target_energy = None if b is None else frobenius_sq(b)
     exhausted = False

@@ -15,9 +15,11 @@ SIMD ``log``/``cos``/``sin`` differ.
 A partition's sketch is one product per group of at most 128 of its columns
 with that group's stacked projection rows, generated in one vectorized
 pass, so at most 128 rows of the projection matrix are held at a time;
-partial sketches are summed in partition order.  Row entries are scaled by
-1/sqrt(r) to make the sketch norm-preserving in expectation; selection
-criteria are invariant to this uniform scaling.
+partial sketches are summed in partition order.  The ``identity`` kind
+forms no projection rows: each partition's columns are added into their
+global columns of the sketch, which costs one pass over the matrix.  Row
+entries are scaled by 1/sqrt(r) to make the sketch norm-preserving in
+expectation; selection criteria are invariant to this uniform scaling.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .seeds import as_uint64, column_seed, column_seeds, counter_words
 
 KINDS = ("gaussian", "sign", "sparse-sign", "identity")
 
-# Columns per sketch product: bounds the stacked projection rows held at once
-# to _BLOCK x r, also for the identity kind, where r is the column count.
+# Columns per sketch product of the random kinds: bounds the stacked
+# projection rows held at once to _BLOCK x r.
 _BLOCK = 128
 
 
@@ -92,22 +94,12 @@ def _stream_rows(kind: str, r: int, keys) -> np.ndarray:
     return rows[..., :r]
 
 
-def _projection_rows(spec: SketchSpec, indices: np.ndarray) -> np.ndarray:
-    """Stacked projection rows of a group of global column indices."""
-    if spec.kind == "identity":
-        rows = np.zeros((len(indices), spec.r))
-        rows[np.arange(len(indices)), indices] = 1.0
-        return rows
-    keys = column_seeds(spec.seed, indices)[:, None]
-    return _stream_rows(spec.kind, spec.r, keys)
-
-
 def sketch_row(spec: SketchSpec, index: int) -> np.ndarray:
     """Row of the projection matrix for one global column index.
 
     Deterministic in (seed, index) alone; independent of call order and of
     which partition asks.  Bit-identical to the row that
-    :func:`sketch_partitioned` generates for the same index.
+    :func:`sketch_partitioned` applies for the same index.
     """
     if index < 0:
         raise ValueError(f"column index must be nonnegative, got {index}")
@@ -117,7 +109,7 @@ def sketch_row(spec: SketchSpec, index: int) -> np.ndarray:
             raise ValueError(
                 f"identity sketch of width {r} has no row for column {index}"
             )
-        return _projection_rows(spec, np.array([index]))[0]
+        return np.eye(1, r, index)[0]
     # the random kinds take the scalar key: a one-row group costs more
     return _stream_rows(spec.kind, r, as_uint64(column_seed(spec.seed, index)))
 
@@ -164,8 +156,12 @@ def sketch_partitioned(
         )
     out = np.zeros((m, spec.r))
     for block, indices in partitions:
+        if spec.kind == "identity":
+            # 0.0 + x is x, but for -0.0, which becomes +0.0 as in the product
+            out[:, np.asarray(indices)] += block
+            continue
         for start in range(0, len(indices), _BLOCK):
             group = slice(start, start + _BLOCK)
-            rows = _projection_rows(spec, np.asarray(indices[group]))
-            out += block[:, group] @ rows
+            keys = column_seeds(spec.seed, np.asarray(indices[group]))[:, None]
+            out += block[:, group] @ _stream_rows(spec.kind, spec.r, keys)
     return out

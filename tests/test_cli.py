@@ -70,19 +70,22 @@ def test_select_dist_pipeline_collapse(tmp_path, capsys):
 
 
 def test_select_gen_with_self_target(tmp_path, capsys):
-    # a target read as a second copy of the source would stop the badly
-    # scaled inputs after 4 picks
+    # a target run as separate from the source would stop the badly scaled
+    # inputs after 4 picks, whether it is the input file or a copy of it
     inputs = [(random_matrix(9, 11, seed=5), 4)]
     inputs += [(badly_scaled_wide(seed=seed), 10) for seed in range(8, 14)]
-    path = tmp_path / "a.csv"
+    path, copy = tmp_path / "a.csv", tmp_path / "copy.csv"
     for a, l in inputs:
         save_matrix(a, path, "csv")
+        copy.write_bytes(path.read_bytes())
         code, plain, _ = run_cli(capsys, ["select", "--input", str(path), "--l", str(l)])
-        code2, gen, _ = run_cli(capsys, ["select-gen", "--input", str(path),
-                                         "--target", str(path), "--l", str(l)])
-        assert (code, code2) == (0, 0)
-        assert gen == plain
+        assert code == 0
         assert len(plain.split()) == l
+        for target in (path, copy):
+            code, gen, _ = run_cli(capsys, ["select-gen", "--input", str(path),
+                                            "--target", str(target), "--l", str(l)])
+            assert code == 0
+            assert gen == plain
 
 
 def test_select_dist_summary_flags_a_reconstructed_target(tmp_path, capsys):
@@ -163,6 +166,17 @@ def test_baseline_summary_flags_fewer_picks_than_l(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert "numerical degeneracy" in err
+    # the reduce step's union of this 15 x 22 matrix once took a 16th pick,
+    # past its rank 15, and the summary's error raised
+    order = [4, 0, 10, 7, 5, 8, 6, 3, 9, 2, 1, 13, 18, 12, 17, 21, 19, 15, 11, 14, 20, 16]
+    save_matrix(random_matrix(15, 22, seed=23)[:, order], path, "csv")
+    code, out, err = run_cli(capsys, ["baseline", "naive-dist", "--input", str(path),
+                                      "--l", "22", "--partitions", "2",
+                                      "--summary", str(summary)])
+    assert code == 0, err
+    doc = json.loads(summary.read_text())
+    assert len(out.split()) == len(doc["selected"]) == 15
+    assert doc["exhausted"] is True
 
 
 def test_summary_document(tmp_path, capsys):

@@ -53,6 +53,21 @@ def test_init_with_self_target_equals_plain_init():
         select_next(plain, a, a)
 
 
+def test_step_api_self_target_keeps_separate_target_arithmetic():
+    # The step API takes b = a as a separate target: its column-space steps
+    # keep every factor, and stay exact.
+    a = random_matrix(60, 40, seed=40)
+    state = generalized_init(a, a)
+    assert state.bta is not None
+    for _ in range(30):
+        select_next(state, a, a)
+    assert state.cross_factors.shape == (30, 40)
+    assert state.selected == greedy_select(a, 30).indices
+    num, _ = direct_generalized_scores(a, a, state.selected)
+    act = state.active
+    assert_allclose(state.score_num[act], num[act], rtol=0, atol=1e-13 * num[act].max())
+
+
 def test_init_zero_target_zeroes_scores():
     a = random_matrix(4, 3, seed=2)
     state = generalized_init(a, as_matrix(np.zeros((4, 2))))
@@ -85,17 +100,18 @@ def test_init_rejects_row_mismatch():
 
 def test_reduction_to_plain_greedy_is_exact():
     # The badly scaled inputs would trip a separate target's energy stop
-    # after the 4 large columns; a target that is the source runs as plain
-    # greedy and takes all 10 picks.
+    # after the 4 large columns; a target that holds the source's values,
+    # the same array or a copy, runs as plain greedy and takes all 10 picks.
     inputs = [(random_matrix(10, 13, seed=seed + 60), 6) for seed in range(8)]
     inputs += [(badly_scaled_wide(seed=seed), 10) for seed in range(8, 14)]
     for a, l in inputs:
-        gen = generalized_select(a, a, l)
         plain = greedy_select(a, l)
-        assert gen.indices == plain.indices
-        assert gen.gains == plain.gains
-        assert (gen.exhausted, gen.target_reconstructed) == (plain.exhausted, False)
-        assert len(gen.indices) == l
+        for target in (a, a.copy()):
+            gen = generalized_select(a, target, l)
+            assert gen.indices == plain.indices
+            assert gen.gains == plain.gains
+            assert (gen.exhausted, gen.target_reconstructed) == (plain.exhausted, False)
+            assert len(gen.indices) == l
 
 
 def test_reduction_to_plain_greedy_is_exact_on_tall_input():
