@@ -14,13 +14,15 @@ the union.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
 from .greedy import SelectionResult, _select
-from .linalg import _projection_errors
+from .linalg import _projection_errors, check_column_set
 from .sketch import SketchSpec, sketch_partitioned
 
 
@@ -88,13 +90,18 @@ def partition_columns(a: np.ndarray, c: int) -> list[Partition]:
 def map_phase(partition: Partition, b: np.ndarray | None, l_b: int) -> PartitionResult:
     """Select up to ``l_b`` columns of one partition against the shared target.
 
-    With ``b=None`` the partition's own block is the target.
+    With ``b=None`` the partition's own block is the target.  The index map
+    holds one index per block column and passes ``check_column_set``.
     """
+    # neither phase knows the full column count, so no index is too large
+    indices = check_column_set(partition.global_indices, sys.maxsize)
     width = partition.matrix.shape[1]
+    if width != len(indices):
+        raise ValueError("partition block width does not match its index map")
     res = _select(partition.matrix, b, min(l_b, width))
     return PartitionResult(
         pid=partition.pid,
-        global_indices=[int(partition.global_indices[j]) for j in res.indices],
+        global_indices=[indices[j] for j in res.indices],
         columns=np.asfortranarray(partition.matrix[:, res.indices]),
     )
 
@@ -104,23 +111,18 @@ def reduce_phase(
 ) -> tuple[SelectionResult, list[int], np.ndarray]:
     """Final selection over the union of per-partition picks.
 
-    With ``b=None`` the union itself is the target.  Returns the selection
-    over the concatenated candidates, the winners' global indices, and the
-    winners' column data.  The exhausted flag is set whenever fewer than
-    ``l`` columns come back, whether the union holds fewer than ``l``
-    columns, the candidates run out or ``b`` is already reconstructed.
+    With ``b=None`` the union itself is the target.  Each result's global
+    indices and their union pass ``check_column_set``.  Returns the
+    selection over the concatenated candidates, the winners' global indices
+    and column data.  The exhausted flag is set whenever fewer than ``l``
+    columns come back: the union is smaller, the candidates run out or
+    ``b`` is already reconstructed.
     """
     if not results:
         raise ValueError("reduce phase needs at least one partition result")
     ordered = sorted(results, key=lambda r: r.pid)
-    union_globals: list[int] = []
-    seen: set[int] = set()
-    for res in ordered:
-        for g in res.global_indices:
-            if g in seen:
-                raise ValueError(f"global column {g} emitted by multiple partitions")
-            seen.add(g)
-        union_globals.extend(res.global_indices)
+    union = chain(*(check_column_set(r.global_indices, sys.maxsize) for r in ordered))
+    union_globals = check_column_set(union, sys.maxsize)
     if not union_globals:
         raise ValueError("no candidate columns reached the reduce phase")
     candidates = np.asfortranarray(
@@ -180,8 +182,6 @@ def distributed_select(
     t_reduce = time.perf_counter()
 
     columns_moved = sum(len(r.global_indices) for r in map_results)
-    if columns_moved > config.partitions * l_b:
-        raise AssertionError("map phase emitted more columns than its budget allows")
     target_error, exact_error = _projection_errors(a, winners, [b, a])
     return DistributedReport(
         selected=winners,

@@ -67,14 +67,35 @@ def as_matrix(values) -> np.ndarray:
 
 
 def check_column_set(columns: Sequence[int], n_cols: int) -> list[int]:
-    """Validate a column index set: integer, distinct, within range."""
-    out = [int(i) for i in columns]
-    if len(set(out)) != len(out):
-        raise ValueError(f"column indices must be distinct, got {out}")
-    for i in out:
-        if i < 0 or i >= n_cols:
-            raise ValueError(f"column index {i} out of range for {n_cols} columns")
-    return out
+    """Validate global column indices as Python ints: integers, distinct, in ``[0, n_cols)``.
+
+    Python and numpy ints of any width pass; floats, bools, strings, object
+    arrays, repeats and indices out of range raise ValueError naming the
+    first offender.  A list is checked by element type: numpy reads
+    ``[True, 2]`` as ints.
+    """
+    if isinstance(columns, np.ndarray):
+        if columns.ndim != 1 or columns.size and columns.dtype.kind not in "iu":
+            raise ValueError(f"column indices must be 1-D integers, got {columns!r}")
+        values = columns
+    else:
+        columns = list(columns)
+        types = set(map(type, columns))
+        strays = {t for t in types if t is bool or not issubclass(t, (int, np.integer))}
+        if strays:
+            bad = next(i for i in columns if type(i) in strays)
+            raise ValueError(f"column indices must be integers, got {bad!r}")
+        values = np.array(columns)
+        if values.dtype.kind not in "iu":  # ints past int64, or int64 with uint64
+            values = np.array(columns, dtype=object)
+    order = np.argsort(values, kind="stable")
+    repeats = order[1:][values[order[1:]] == values[order[:-1]]]
+    if repeats.size:
+        raise ValueError(f"column indices must be distinct, {values[repeats.min()]} repeats")
+    outside = (values < 0) | (values >= n_cols)
+    if outside.any():
+        raise ValueError(f"column index {values[outside][0]} out of range for {n_cols} columns")
+    return values.astype(np.int64).tolist()
 
 
 def column_norms_sq(a: np.ndarray) -> np.ndarray:

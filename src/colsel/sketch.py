@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
+from .linalg import check_column_set
 from .seeds import as_uint64, column_seed, column_seeds, counter_words
 
 KINDS = ("gaussian", "sign", "sparse-sign", "identity")
@@ -124,17 +126,16 @@ def sketch_partitioned(
 ) -> np.ndarray:
     """Sketch a column-partitioned matrix from per-partition partial sums.
 
-    ``partitions`` holds (matrix block, global column indices) pairs that
-    must jointly tile the full matrix's columns.  Each partition's partial
-    sketch is added to the result in partition order, one product per group
-    of at most ``_BLOCK`` columns; the result matches :func:`sketch_matrix`
-    on the concatenated matrix up to the order of summation.
+    ``partitions`` holds (matrix block, global column indices) pairs; each
+    map and their join pass ``check_column_set`` for the summed widths, so
+    they tile the columns.  Each partition's partial sketch is added in
+    partition order, one product per group of at most ``_BLOCK`` columns;
+    the result matches :func:`sketch_matrix` on the concatenated matrix up
+    to the order of summation.
     """
     if not partitions:
         raise ValueError("at least one partition is required")
     m = partitions[0][0].shape[0]
-    seen: set[int] = set()
-    total = 0
     for block, indices in partitions:
         if block.shape[0] != m:
             raise ValueError(
@@ -142,14 +143,8 @@ def sketch_partitioned(
             )
         if block.shape[1] != len(indices):
             raise ValueError("partition block width does not match its index map")
-        for i in indices:
-            i = int(i)
-            if i in seen:
-                raise ValueError(f"global column {i} appears in multiple partitions")
-            seen.add(i)
-        total += block.shape[1]
-    if seen != set(range(total)):
-        raise ValueError("partition index maps do not tile the columns exactly once")
+    total = sum(block.shape[1] for block, _ in partitions)
+    check_column_set(chain(*(check_column_set(ix, total) for _, ix in partitions)), total)
     if spec.kind == "identity" and spec.r != total:
         raise ValueError(
             f"identity sketch requires r == {total} (the column count), got {spec.r}"

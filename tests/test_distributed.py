@@ -148,7 +148,7 @@ def test_reduce_rejects_duplicate_globals():
         global_indices=[2],
         columns=np.asfortranarray(a[:, [1]]),
     )
-    with pytest.raises(ValueError, match="multiple partitions"):
+    with pytest.raises(ValueError, match="distinct"):
         reduce_phase([res, dup], random_matrix(6, 2, seed=13), l=2)
 
 

@@ -8,14 +8,21 @@ from numpy.testing import assert_allclose, assert_array_almost_equal
 
 from colsel import (
     DegenerateBasisError,
+    SketchSpec,
     as_matrix,
+    evaluate_selection,
     frobenius_sq,
+    map_phase,
     orthonormal_basis,
     randomized_svd,
     reconstruction_error,
+    reduce_phase,
+    relative_accuracy,
+    sketch_partitioned,
 )
+from colsel.distributed import Partition, PartitionResult
 from colsel.evaluate import _tolerant_error
-from colsel.linalg import _projection_errors
+from colsel.linalg import _projection_errors, check_column_set
 from instances import badly_scaled_wide, random_matrix
 
 
@@ -113,6 +120,79 @@ def test_projection_errors_share_one_basis_bit_for_bit(cols):
         _projection_errors(a, cols, [b])[0],
         reconstruction_error(a, cols),
     ]
+
+
+# Index sets that a cast takes for columns [0, 1]: floats, bools and strings,
+# as lists and as arrays
+NOT_INTEGERS = {
+    "float": [0.0, 1.9],
+    "bool": [False, True],
+    "bool-among-ints": [0, True],
+    "string": ["0", "1"],
+    "float-array": np.array([0.0, 1.0]),
+    "bool-array": np.array([False, True]),
+    "string-array": np.array(["0", "1"]),
+    "object-array": np.array([0, 1], dtype=object),
+}
+
+_A = random_matrix(6, 4, seed=40)
+INDEX_TAKERS = {
+    "reconstruction_error": lambda cols: reconstruction_error(_A, cols),
+    "orthonormal_basis": lambda cols: orthonormal_basis(_A, cols),
+    "relative_accuracy": lambda cols: relative_accuracy(_A, cols),
+    "evaluate_selection": lambda cols: evaluate_selection(_A, cols),
+    "sketch_partitioned": lambda cols: sketch_partitioned(
+        [(_A[:, :2], cols), (_A[:, 2:], [2, 3])], SketchSpec("gaussian", r=3)
+    ),
+    "reduce_phase": lambda cols: reduce_phase(
+        [PartitionResult(pid=0, global_indices=cols, columns=_A[:, :2])], None, l=2
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_INTEGERS)
+@pytest.mark.parametrize("taker", INDEX_TAKERS)
+def test_column_indices_must_be_integers(taker, kind):
+    with pytest.raises(ValueError, match="integers"):
+        INDEX_TAKERS[taker](NOT_INTEGERS[kind])
+
+
+@pytest.mark.parametrize("width", [2, 10])
+def test_map_phase_rejects_an_index_map_of_the_wrong_length(width):
+    part = Partition(pid=0, matrix=_A[:, :3], global_indices=np.arange(10, 10 + width))
+    with pytest.raises(ValueError, match="width"):
+        map_phase(part, None, l_b=3)
+
+
+def _first_offender(cols, n):
+    """Loop reference for check_column_set: the message fragment of the first failing rule."""
+    seen = set()
+    for i in cols:
+        if i in seen:
+            return f"distinct, {i} repeats"
+        seen.add(i)
+    for i in cols:
+        if not 0 <= i < n:
+            return f"column index {i} out of range"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cols=st.lists(st.integers(-3, 12) | st.sampled_from([2**63, 2**70, -(2**64)]), max_size=8),
+    array=st.booleans(),
+)
+def test_check_column_set_matches_the_loop_reference(cols, array):
+    n = 10
+    want = _first_offender(cols, n)
+    if array and all(-(2**63) <= i < 2**63 for i in cols):
+        cols = np.array(cols, dtype=np.int64)
+    if want is None:
+        got = check_column_set(cols, n)
+        assert got == list(cols) and all(type(i) is int for i in got)
+    else:
+        with pytest.raises(ValueError, match=want):
+            check_column_set(cols, n)
 
 
 def test_reconstruction_error_single_column_oracle():

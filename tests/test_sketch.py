@@ -9,12 +9,15 @@ from colsel import (
     SketchSpec,
     as_matrix,
     frobenius_sq,
+    map_phase,
     reconstruction_error,
+    reduce_phase,
     sketch_matrix,
     sketch_partitioned,
     sketch_row,
     uniform_select,
 )
+from colsel.distributed import Partition
 from colsel.seeds import _GOLDEN, _mix64, column_seed, column_seeds, mix64_array
 from instances import random_matrix
 
@@ -281,11 +284,11 @@ def test_partitioned_validation():
     spec = SketchSpec("gaussian", r=4, seed=0)
     with pytest.raises(ValueError, match="at least one partition"):
         sketch_partitioned([], spec)
-    with pytest.raises(ValueError, match="multiple partitions"):
+    with pytest.raises(ValueError, match="distinct"):
         sketch_partitioned(
             [(a[:, :4], [0, 1, 2, 3]), (a[:, 3:], [3, 4, 5, 6, 7])], spec
         )
-    with pytest.raises(ValueError, match="tile"):
+    with pytest.raises(ValueError, match="out of range"):
         sketch_partitioned([(a[:, :4], [0, 1, 2, 5])], spec)
     with pytest.raises(ValueError, match="width"):
         sketch_partitioned([(a, [0, 1, 2, 3, 4, 5, 6])], spec)
@@ -293,6 +296,29 @@ def test_partitioned_validation():
         sketch_partitioned(
             [(a[:, :4], [0, 1, 2, 3]), (a[:2, 4:], [4, 5, 6, 7])], spec
         )
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "identity"])
+@pytest.mark.parametrize(
+    "dtypes",
+    [(np.int32, np.int32), (np.uint64, np.uint64), (np.int64, np.uint64)],
+    ids=["int32", "uint64", "int64-uint64"],
+)
+def test_integer_index_maps_of_any_width_are_accepted(kind, dtypes):
+    a = random_matrix(6, 10, seed=8)
+    spec = SketchSpec(kind, r=10 if kind == "identity" else 4, seed=3)
+
+    def pipeline(first, second):
+        blocks = [(a[:, :4], np.arange(4, dtype=first)), (a[:, 4:], np.arange(4, 10, dtype=second))]
+        b = sketch_partitioned(blocks, spec)
+        mapped = [map_phase(Partition(pid, *block), b, 2) for pid, block in enumerate(blocks)]
+        return b, [r.global_indices for r in mapped], reduce_phase(mapped, b, 3)[1]
+
+    b, picks, winners = pipeline(*dtypes)
+    want_b, want_picks, want_winners = pipeline(np.int64, np.int64)
+    assert b.tobytes() == want_b.tobytes()
+    assert picks == want_picks and winners == want_winners
+    assert all(type(i) is int for p in picks for i in p)
 
 
 def test_distance_preservation_on_rows():
