@@ -46,7 +46,6 @@ _EXPORTS = {
         "SvdResult",
         "as_matrix",
         "frobenius_sq",
-        "orthonormal_basis",
         "randomized_svd",
         "reconstruction_error",
     ),

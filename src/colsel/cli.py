@@ -1,7 +1,8 @@
 """Command-line interface tying the selection pipeline together.
 
 Exit codes: 0 success, 2 usage error, 3 data error (unreadable or
-inconsistent inputs), 4 numerical degeneracy.  All indices are 0-based.
+inconsistent inputs, or a matrix or sketch too large to allocate), 4
+numerical degeneracy.  All indices are 0-based.
 In each subcommand with a stochastic component (sketch, select-dist,
 baseline, eval) a single ``--seed`` drives all of them; sub-seeds are
 derived from it deterministically.
@@ -79,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = common(sub.add_parser("eval", help="relative accuracy of an index list"))
     ev.add_argument("--l", type=int, help="expected number of indices (checked if given)")
-    ev.add_argument("--trials", type=int, default=10)
+    ev.add_argument("--trials", type=int, default=10,
+                    help="uniform draws to average, one QR each; no upper bound")
     ev.add_argument("--indices",
                     help="file with one 0-based index per line (default: stdin)")
     return parser
@@ -229,7 +231,7 @@ def main(argv=None) -> int:
     except DegenerateBasisError as exc:
         print(f"colsel: numerical degeneracy: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, OSError) as exc:  # MatrixFormatError and MetricUndefinedError too
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: too large to allocate
         print(f"colsel: error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,8 +1,11 @@
 """Dense-matrix primitives shared by all selection algorithms.
 
 Matrices are plain float64 numpy arrays in column-major (Fortran) layout,
-validated once at construction time by :func:`as_matrix`.  All operations
-here are pure functions of their inputs.
+validated once at construction time by :func:`as_matrix`.  Column indices
+are validated once too: public names check them with
+:func:`check_column_set`, and private kernels such as
+:func:`_projection_errors` trust their callers.  All operations here are
+pure functions of their inputs.
 
 This module owns the projection error ``||T - P_S T||_F^2`` of a target
 ``T`` on a column set ``S``: :func:`reconstruction_error` (``T = A``), the
@@ -108,15 +111,12 @@ def frobenius_sq(a: np.ndarray) -> float:
     return float(np.sum(column_norms_sq(a)))
 
 
-def orthonormal_basis(a: np.ndarray, columns: Sequence[int]) -> np.ndarray:
-    """Orthonormal basis Q for the span of the selected columns of ``a``.
+def _orthonormal_basis(a: np.ndarray, cols: list[int]) -> np.ndarray:
+    """Orthonormal basis Q for the span of the nonempty checked column set ``cols`` of ``a``.
 
     Raises :class:`DegenerateBasisError` naming the offending indices when
     the selected columns are numerically rank deficient.
     """
-    cols = check_column_set(columns, a.shape[1])
-    if not cols:
-        raise ValueError("cannot build a basis from an empty column set")
     sub = a[:, cols]
     m = a.shape[0]
     if len(cols) > m:
@@ -132,7 +132,7 @@ def orthonormal_basis(a: np.ndarray, columns: Sequence[int]) -> np.ndarray:
 
 def _projection_errors(
     a: np.ndarray,
-    columns: Sequence[int],
+    columns: list[int],
     targets: Sequence[np.ndarray],
     energies: Sequence[float] | None = None,
 ) -> list[float]:
@@ -143,15 +143,16 @@ def _projection_errors(
     costs one product Q^T T.  When its rounding bound ``eps * m * ||T||^2``
     is not small against the result, the explicit residual
     ``T - Q (Q^T T)`` is summed instead.  ``energies`` are the targets'
-    ``||T||_F^2`` when the caller already has them.  Raises
+    ``||T||_F^2`` when the caller already has them.  ``columns`` must
+    already have passed :func:`check_column_set`.  Raises
     :class:`DegenerateBasisError` when the selected columns are numerically
     rank deficient; the empty selection yields each ``||T||_F^2``.
     """
     if energies is None:
         energies = [frobenius_sq(target) for target in targets]
-    if not check_column_set(columns, a.shape[1]):
+    if not columns:
         return list(energies)
-    q = orthonormal_basis(a, columns)
+    q = _orthonormal_basis(a, columns)
     errors = []
     for target, energy in zip(targets, energies):
         qt = q.T @ target
@@ -167,7 +168,7 @@ def reconstruction_error(a: np.ndarray, columns: Sequence[int]) -> float:
 
     The empty selection yields the squared Frobenius norm of ``a``.
     """
-    return _projection_errors(a, columns, [a])[0]
+    return _projection_errors(a, check_column_set(columns, a.shape[1]), [a])[0]
 
 
 @dataclass(frozen=True)

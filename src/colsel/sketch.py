@@ -25,6 +25,7 @@ expectation; selection criteria are invariant to this uniform scaling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -101,16 +102,12 @@ def sketch_row(spec: SketchSpec, index: int) -> np.ndarray:
 
     Deterministic in (seed, index) alone; independent of call order and of
     which partition asks.  Bit-identical to the row that
-    :func:`sketch_partitioned` applies for the same index.
+    :func:`sketch_partitioned` applies for the same index.  ``index`` passes
+    :func:`check_column_set`, below ``r`` for the identity kind.
     """
-    if index < 0:
-        raise ValueError(f"column index must be nonnegative, got {index}")
     r = spec.r
+    (index,) = check_column_set([index], r if spec.kind == "identity" else sys.maxsize)
     if spec.kind == "identity":
-        if index >= r:
-            raise ValueError(
-                f"identity sketch of width {r} has no row for column {index}"
-            )
         return np.eye(1, r, index)[0]
     # the random kinds take the scalar key: a one-row group costs more
     return _stream_rows(spec.kind, r, as_uint64(column_seed(spec.seed, index)))

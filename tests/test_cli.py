@@ -306,8 +306,6 @@ def test_usage_errors_exit_2(eye3_csv, capsys):
     capsys.readouterr()
     assert main(["select", "--input", eye3_csv]) == 2  # missing --l
     capsys.readouterr()
-    assert main(["select", "--input", eye3_csv, "--l", "x"]) == 2
-    capsys.readouterr()
 
 
 def test_threads_only_on_select_dist(tmp_path, eye3_csv, capsys):
@@ -332,13 +330,7 @@ def test_threads_only_on_select_dist(tmp_path, eye3_csv, capsys):
 
 
 def test_data_errors_exit_3(tmp_path, eye3_csv, capsys, monkeypatch):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1,2\n3,nope\n")
-    assert main(["select", "--input", str(bad), "--l", "1"]) == 3
-    capsys.readouterr()
     assert main(["select", "--input", eye3_csv, "--l", "9"]) == 3
-    capsys.readouterr()
-    assert main(["select", "--input", str(tmp_path / "missing.csv"), "--l", "1"]) == 3
     capsys.readouterr()
     assert main(["select-gen", "--input", eye3_csv, "--l", "1",
                  "--target", str(tmp_path / "missing.csv")]) == 3
@@ -391,3 +383,87 @@ def test_module_entry_point(tmp_path, eye3_csv):
     )
     assert proc.returncode == 0
     assert proc.stdout == "0\n1\n"
+
+
+# Every numeric option of every subcommand, each in a run that exits 0 as
+# written; baseline takes each option with a method that reads it.
+_RUNS = [
+    (["select", "--l", "4"], ["--l"]),
+    (["select-gen", "--target", "{b}", "--l", "4"], ["--l"]),
+    (["sketch", "--r", "6", "--seed", "1"], ["--r", "--seed"]),
+    (["select-dist", "--l", "4", "--r", "6", "--partitions", "2", "--threads", "1",
+      "--seed", "1"], ["--l", "--r", "--partitions", "--threads", "--seed"]),
+    *((["baseline", method, "--l", "4", "--seed", "1"], ["--l", "--seed"])
+      for method in ("uniform", "hybrid-uni", "hybrid-col", "hybrid-svd")),
+    (["baseline", "sketch-svd", "--l", "4", "--r", "3", "--seed", "1"], ["--l", "--r", "--seed"]),
+    (["baseline", "naive-dist", "--l", "4", "--partitions", "2"], ["--l", "--partitions"]),
+    (["eval", "--indices", "{idx}", "--l", "3", "--trials", "2", "--seed", "1"],
+     ["--l", "--trials", "--seed"]),
+]
+# 1.5 is a usage error; a huge --trials would be a long run, not a failure
+_VALUES = ["0", "-1", str(2**63), str(10**30), "1.5"]
+_SMALL_VALUES = ["0", "-1", "1.5"]
+# A sketch of 30 x 10**13 float64 values (2.1 PiB) or a dense 10**8 x 10**8
+# matrix is past the 2**47-byte address space, so allocating it fails at once.
+_TOO_LARGE = "10000000000000"
+# input files that fail to load: kind -> (format, content)
+_MALFORMED = {
+    "ragged": ("csv", "1,2\n3\n"),
+    "empty": ("csv", ""),
+    "non-numeric": ("csv", "1,2\n3,nope\n"),
+    "nan": ("csv", "1,nan\n2,3\n"),
+    "bad-magic": ("binary", b"NOTMAGIC" + (2).to_bytes(8, "little") * 2 + bytes(32)),
+    "short-payload": ("binary", b"CSELMAT1" + (4).to_bytes(8, "little") * 2 + bytes(8)),
+    "directory": ("csv", None),
+    "missing": ("csv", None),
+    "too-large": ("coordinate", "100000000 100000000 0\n"),
+}
+
+
+def _exit_code_cases():
+    for base, options in _RUNS:
+        name = " ".join(base[:2 if base[0] == "baseline" else 1])
+        for option in options:
+            at = base.index(option) + 1
+            for value in _SMALL_VALUES if option == "--trials" else _VALUES:
+                argv = [*base[:at], value, *base[at + 1:]]
+                yield pytest.param(argv, None, 2 if value == "1.5" else None,
+                                   id=f"{name} {option} {value}")
+    yield pytest.param(["sketch", "--r", _TOO_LARGE], None, 3, id="sketch --r 10**13")
+    yield pytest.param(["select-dist", "--l", "4", "--r", _TOO_LARGE], None, 3,
+                       id="select-dist --r 10**13")
+    # every subcommand loads its input first; baseline once, as naive-dist
+    for command, base in {base[0]: base for base, _ in _RUNS}.items():
+        for kind in _MALFORMED:
+            yield pytest.param(base, kind, 3, id=f"{command} on {kind}")
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    files = {"a": root / "a.csv", "b": root / "b.csv", "idx": root / "idx.txt"}
+    save_matrix(random_matrix(30, 50, seed=3), files["a"], "csv")
+    save_matrix(random_matrix(30, 6, seed=4), files["b"], "csv")
+    files["idx"].write_text("0\n2\n5\n")
+    for kind, (_, content) in _MALFORMED.items():
+        path = files[kind] = root / kind
+        if kind == "directory":
+            path.mkdir()
+        elif kind != "missing":
+            (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+    return {key: str(path) for key, path in files.items()}
+
+
+@pytest.mark.parametrize("argv, malformed, want", _exit_code_cases())
+def test_every_failure_exits_2_3_or_4(cli_files, capsys, argv, malformed, want):
+    fmt = _MALFORMED[malformed][0] if malformed else "csv"
+    source = cli_files[malformed or "a"]
+    argv = [arg.format(**cli_files) for arg in argv]
+    code, _, err = run_cli(capsys, [*argv, "--input", source, "--format", fmt])
+    assert code in (0, 2, 3, 4), err
+    assert want in (None, code), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "usage:" in err
+    elif code:
+        assert err.startswith(("colsel: error: ", "colsel: numerical degeneracy: ")), err

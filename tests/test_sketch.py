@@ -60,8 +60,16 @@ def test_spec_validation():
         SketchSpec("fourier", r=4)
     with pytest.raises(ValueError):
         SketchSpec("gaussian", r=0)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="out of range"):
         sketch_row(SketchSpec("gaussian", r=4), -1)
+
+
+@pytest.mark.parametrize("index", [True, 2.5, np.float64(2.0), "3", -1],
+                         ids=["bool", "float", "float64", "string", "negative"])
+@pytest.mark.parametrize("kind", ["gaussian", "identity"])
+def test_sketch_row_takes_only_integer_indices(kind, index):
+    with pytest.raises(ValueError, match="integers|out of range"):
+        sketch_row(SketchSpec(kind, r=5), index)
 
 
 def test_identity_rows_are_basis_vectors():
