@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .greedy import SelectionResult, _select
+from .greedy import SelectionResult, _check_budget, _select
 from .linalg import _projection_errors, check_column_set
 from .sketch import SketchSpec, sketch_partitioned
 
@@ -163,12 +163,14 @@ def distributed_select(
     Map tasks run one after another in partition order.  ``threads`` is
     still validated (>= 1) but no longer changes the run: BLAS already uses
     every core inside each task, and on a 2-core host a thread pool made the
-    map phase slower, not faster.
+    map phase slower, not faster.  A budget past the column count raises
+    ``ValueError``, as in :func:`greedy_select`.
     """
     if config.sketch is None:
         raise ValueError("distributed selection requires a sketch spec")
     if threads is not None and threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
+    _check_budget(config.budget, a.shape[1])
     l_b = config.resolved_partition_budget()
     t0 = time.perf_counter()
     parts = partition_columns(a, config.partitions)
@@ -204,8 +206,10 @@ def naive_distributed_baseline(a: np.ndarray, config: DistributedConfig) -> list
 
     Each partition greedily approximates only its own block, which is the
     failure mode the shared sketch avoids: locally dominant columns win
-    even when they are globally irrelevant.
+    even when they are globally irrelevant.  A budget past the column count
+    raises ``ValueError``.
     """
+    _check_budget(config.budget, a.shape[1])
     l_b = config.resolved_partition_budget()
     parts = partition_columns(a, config.partitions)
     _, winners, _ = reduce_phase([map_phase(p, None, l_b) for p in parts], None, config.budget)

@@ -11,9 +11,11 @@ separate target; plain greedy is the case where the source is its own
 target.
 
 The initial scores are the squared column norms of ``C = B^T A``
-(``A^T A`` for plain greedy).  They come from ``C`` directly or from the
-Gram matrix ``G = B B^T``, whichever takes fewer flops, so for plain greedy
-on an m x n matrix they cost O(m n min(m, n)).  The Gram form can lose a
+(``A^T A`` for plain greedy).  They come from ``C`` (2mnc flops) when its
+c n entries number at most m (c + n), and otherwise from the Gram matrix
+``G = B B^T`` (m^2 c flops) and its upper triangle (about m^2 n more), so
+for plain greedy on an m x n matrix they cost O(m n min(m, n)).  The
+rule compares entry counts, not flops.  The Gram form can lose a
 score that is tiny next to ``||B||_F^2 ||a_i||^2``, as on badly scaled
 inputs; every score whose rounding bound is not small against its value is
 recomputed in the direct form.  Whichever of ``C`` and ``G`` was formed is
@@ -50,9 +52,12 @@ import numpy as np
 
 from .linalg import RANK_TOLERANCE, column_norms_sq, frobenius_sq
 
-# Column block width of the block-wise Gram-form initial scores, and row
-# block height of the fold.
+# Row block height of the fold and of the Gram-form initial scores, and
+# column block width of their direct-form redo.
 _BLOCK = 128
+
+# Column block width of the Gram-form initial scores (a 1 MiB product).
+_SCORE_COLUMNS = 1024
 
 # A Gram-form quantity is recomputed from the target itself when its
 # a-posteriori rounding bound exceeds this fraction of the computed value.
@@ -82,6 +87,8 @@ class SelectionState:
     forms ``C = B^T A`` (``A^T A`` for plain greedy) only when its c n
     entries number at most m (c + n), as many as A and B hold together, and
     ``G = B B^T`` otherwise, which then holds m^2 floats, under half of A.
+    The rule compares entry counts, not flops: C costs 2mnc flops, and G
+    costs m^2 c plus about m^2 n for the scores.
 
     With ``bta``, each pick leaves one n-wide factor row; the outer
     products of these rows sum to the explained part of the residual
@@ -149,10 +156,11 @@ def _cross_norms_sq(
     """Squared norms of the columns of ``b.T @ a``, with ``b.T @ a`` or ``b @ b.T``.
 
     ``den`` holds the squared column norms of ``a``.  With ``a`` m x n and
-    ``b`` m x c, the direct form ``b.T @ a`` costs 2mnc flops and the Gram
-    form ``a_i . (b b.T) a_i`` costs 2m^2(c + n); the cheaper one is used,
-    and its matrix is returned in the second (direct) or third (Gram)
-    place.  The Gram form can lose a score that is tiny next to
+    ``b`` m x c, the direct form ``b.T @ a`` (2mnc flops) is taken when its
+    c n entries number at most m (c + n); otherwise the Gram form takes
+    ``G = b b.T`` (m^2 c flops) and ``a_i . G a_i`` (about m^2 n).  The
+    matrix formed is returned in the second (direct) or third (Gram) place.
+    The Gram form can lose a score that is tiny next to
     ``||b||_F^2 ||a_i||^2``; such scores are recomputed in the direct form.
     """
     m, n = a.shape
@@ -160,12 +168,20 @@ def _cross_norms_sq(
     if c * n <= m * (c + n):
         cross = b.T @ a
         return column_norms_sq(cross), cross, None
-    out = np.empty(n)
+    out = np.zeros(n)
     gram = b @ b.T
-    for start in range(0, n, _BLOCK):
-        cols = a[:, start:start + _BLOCK]
-        # G is symmetric, so this is G @ cols, laid out like the columns.
-        out[start:start + _BLOCK] = np.einsum("ij,ij->j", cols, (cols.T @ gram).T)
+    # x . G x = x . (D + 2U) x, with D the diagonal of G and U its strict
+    # upper triangle.  A block of rows of D + 2U meets only the trailing
+    # rows of x, so k row blocks cost (1 + 1/k) m^2 n flops, not 2 m^2 n.
+    upper = np.triu(gram, 1)
+    upper *= 2.0
+    np.fill_diagonal(upper, np.diagonal(gram))
+    for start in range(0, n, _SCORE_COLUMNS):
+        cols = a[:, start:start + _SCORE_COLUMNS]
+        acc = out[start:start + _SCORE_COLUMNS]
+        for top in range(0, m, _BLOCK):
+            rows = slice(top, top + _BLOCK)
+            acc += np.einsum("ij,ij->j", cols[rows], upper[rows, top:] @ cols[top:])
     bound = _gram_rounding(gram) * den
     redo = np.flatnonzero(bound > _GRAM_TOLERANCE * out)
     for start in range(0, redo.size, _BLOCK):
@@ -382,6 +398,12 @@ class SelectionResult:
     target_reconstructed: bool = False
 
 
+def _check_budget(l: int, n: int) -> None:
+    """Reject a budget below 1 or past the ``n`` columns it selects from."""
+    if l < 1 or l > n:
+        raise ValueError(f"budget l must satisfy 1 <= l <= {n}, got {l}")
+
+
 def _select(a: np.ndarray, b: np.ndarray | None, l: int) -> SelectionResult:
     """The selection loop shared by plain and generalized selection.
 
@@ -392,9 +414,7 @@ def _select(a: np.ndarray, b: np.ndarray | None, l: int) -> SelectionResult:
     test would end it early on badly scaled inputs, returning fewer than
     ``l`` picks.  This is the one place that decides it.
     """
-    n = a.shape[1]
-    if l < 1 or l > n:
-        raise ValueError(f"budget l must satisfy 1 <= l <= {n}, got {l}")
+    _check_budget(l, a.shape[1])
     if b is not None and np.array_equal(b, a):
         b = None
     state = init_state(a, b)

@@ -356,6 +356,21 @@ def test_data_errors_exit_3(tmp_path, eye3_csv, capsys, monkeypatch):
     assert "--r is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["select", "--l", "60"],
+    ["select-dist", "--l", "100", "--r", "8", "--partitions", "2"],
+    ["baseline", "naive-dist", "--l", "60", "--partitions", "2"],
+], ids=["select", "select-dist", "naive-dist"])
+def test_budget_past_the_column_count_exits_3(tmp_path, capsys, argv):
+    # 30 x 50 has rank 30: the pipelines used to stop there and exit 0.
+    path = tmp_path / "a.csv"
+    save_matrix(random_matrix(30, 50, seed=3), path, "csv")
+    code, out, err = run_cli(capsys, [*argv, "--input", str(path)])
+    assert code == 3
+    assert out == ""
+    assert "budget l must satisfy 1 <= l <= 50" in err
+
+
 def test_degeneracy_exit_4(tmp_path, capsys):
     # columns 0 and 1 are parallel: the metric itself tolerates that, but
     # the strict criterion behind the summary's f_value reports it

@@ -15,7 +15,14 @@ from colsel import (
     reconstruction_error,
     select_next,
 )
-from colsel.greedy import ExhaustedError, SelectionState
+from colsel.greedy import (
+    _BLOCK,
+    _GRAM_TOLERANCE,
+    _SCORE_COLUMNS,
+    ExhaustedError,
+    SelectionState,
+    _gram_rounding,
+)
 from colsel.linalg import RANK_TOLERANCE
 from instances import badly_scaled_wide, geometric_spectrum, random_matrix, rank_deficient_matrix
 
@@ -62,6 +69,37 @@ def test_init_state_wide_matches_per_column_norms(a):
     num = [np.sum((a.T @ a[:, i]) ** 2) for i in range(a.shape[1])]
     assert_allclose(state.score_num, num, rtol=1e-12)
     assert_allclose(state.score_den, np.sum(a * a, axis=0), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind", ["random", "rank-deficient", "badly-scaled", "separate-target"]
+)
+def test_init_state_gram_form_across_blocks_matches_per_column_norms(kind, monkeypatch):
+    # Three row blocks of G and two column blocks of A, each with a ragged tail.
+    m, n = 2 * _BLOCK + 44, _SCORE_COLUMNS + 76
+    b = None
+    if kind != "badly-scaled":
+        # The direct-form redo would repair a block the Gram form missed.
+        monkeypatch.setattr("colsel.greedy._GRAM_TOLERANCE", np.inf)
+    if kind == "rank-deficient":
+        a = rank_deficient_matrix(m, n, 40, seed=17)
+    elif kind == "badly-scaled":
+        a = badly_scaled_wide(m, n, k=6, seed=18)
+    else:
+        a = random_matrix(m, n, seed=19)
+    if kind == "separate-target":
+        # c n > m (c + n) for c = 500, so the target also takes the Gram form.
+        b = random_matrix(m, 500, seed=20)
+    state = init_state(a, b)
+    assert state.gram is not None
+    num = [np.sum(((a if b is None else b).T @ a[:, i]) ** 2) for i in range(n)]
+    assert_allclose(state.score_num, num, rtol=1e-12)
+    assert_allclose(state.score_den, np.sum(a * a, axis=0), rtol=1e-12)
+    if kind == "badly-scaled":
+        # The small columns' scores fall below the Gram form's rounding
+        # bound, so they came from the direct form.
+        redo = _gram_rounding(state.gram) * state.den_init > _GRAM_TOLERANCE * np.array(num)
+        assert np.count_nonzero(redo) > 0
 
 
 def test_init_state_rejects_zero_matrix():
@@ -317,6 +355,23 @@ def test_tall_greedy_select_memory_peak_is_c_and_one_block_row():
         tracemalloc.stop()
     assert len(res.indices) == 140
     assert peak <= 8 * n * (n + 128 + 64 + 32)
+
+
+def test_gram_form_init_memory_peak_is_two_m_by_m_and_one_block():
+    # The scores read G's upper triangle from one m x m copy, one block
+    # product of _BLOCK x _SCORE_COLUMNS at a time: besides G the peak holds
+    # that copy, the block product and a few n-vectors (about 2.3 measured,
+    # 16 allowed).  Forming G A whole would hold an m x n array.
+    m, n = 300, 4000
+    a = random_matrix(m, n, seed=7)
+    tracemalloc.start()
+    try:
+        state = init_state(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.gram is not None
+    assert peak <= 8 * (2 * m * m + _BLOCK * _SCORE_COLUMNS + 16 * n)
 
 
 @pytest.mark.parametrize("m, n", [(40, 20), (20, 60)], ids=["tall", "wide"])
