@@ -20,7 +20,7 @@ from .distributed import DistributedConfig, distributed_select, naive_distribute
 from .generalized import generalized_select
 from .greedy import greedy_select
 from .linalg import DegenerateBasisError, _projection_errors, reconstruction_error
-from .matrixio import FORMATS, load_matrix, save_matrix
+from .matrixio import FORMATS, _write_csv, load_matrix, save_matrix
 from .seeds import derive_seed
 from .sketch import KINDS, SketchSpec, sketch_matrix
 
@@ -144,7 +144,7 @@ def _run(args) -> int:
         if args.output:
             save_matrix(b, args.output, args.format)
         else:
-            sys.stdout.write("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in b))
+            _write_csv(b, sys.stdout)
         selected = []
         summary = {"method": "sketch",
                    "parameters": {"r": spec.r, "sketch": spec.kind, "seed": args.seed}}
@@ -196,7 +196,7 @@ def _run(args) -> int:
     if args.summary:
         doc = {**dict.fromkeys(_SUMMARY_KEYS), **summary, "selected": selected,
                "exhausted": len(selected) < summary["parameters"].get("l", 0),
-               "timings": {"total": time.perf_counter() - t0, **timings}}
+               "timings": {**timings, "total": time.perf_counter() - t0}}
         with open(args.summary, "w", encoding="utf-8") as handle:
             json.dump(doc, handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -3,8 +3,9 @@
 Shaped like a map/reduce job run in-process: every partition independently
 selects columns that reconstruct the shared sketch, then a single reduce
 step selects the final columns from the union of the per-partition picks.
-Only the picked columns cross the phase boundary; the report tracks that
-data movement along with the sketch broadcast cost.
+Both phases share one kernel that selects from a column block and gathers
+the picks' global indices and data.  Only the picked columns cross the phase
+boundary; the report tracks that data movement and the sketch broadcast cost.
 
 Both phases take the target ``b=None`` to mean that the candidates are
 their own target.  The naive baseline is the same two phases run that way:
@@ -87,6 +88,15 @@ def partition_columns(a: np.ndarray, c: int) -> list[Partition]:
     return parts
 
 
+def _select_columns(
+    block: np.ndarray, b: np.ndarray | None, l: int, global_indices: list[int]
+) -> tuple[SelectionResult, list[int], np.ndarray]:
+    """Select up to ``l`` columns of ``block``: the picks, their global indices and data."""
+    selection = _select(block, b, min(l, block.shape[1]))
+    picked = [global_indices[j] for j in selection.indices]
+    return selection, picked, np.asfortranarray(block[:, selection.indices])
+
+
 def map_phase(partition: Partition, b: np.ndarray | None, l_b: int) -> PartitionResult:
     """Select up to ``l_b`` columns of one partition against the shared target.
 
@@ -95,15 +105,10 @@ def map_phase(partition: Partition, b: np.ndarray | None, l_b: int) -> Partition
     """
     # neither phase knows the full column count, so no index is too large
     indices = check_column_set(partition.global_indices, sys.maxsize)
-    width = partition.matrix.shape[1]
-    if width != len(indices):
+    if partition.matrix.shape[1] != len(indices):
         raise ValueError("partition block width does not match its index map")
-    res = _select(partition.matrix, b, min(l_b, width))
-    return PartitionResult(
-        pid=partition.pid,
-        global_indices=[indices[j] for j in res.indices],
-        columns=np.asfortranarray(partition.matrix[:, res.indices]),
-    )
+    _, picked, columns = _select_columns(partition.matrix, b, l_b, indices)
+    return PartitionResult(pid=partition.pid, global_indices=picked, columns=columns)
 
 
 def reduce_phase(
@@ -128,12 +133,8 @@ def reduce_phase(
     candidates = np.asfortranarray(
         np.concatenate([r.columns for r in ordered], axis=1)
     )
-    k = candidates.shape[1]
-    selection = _select(candidates, b, min(l, k))
-    selection = replace(selection, exhausted=len(selection.indices) < l)
-    winners = [union_globals[j] for j in selection.indices]
-    data = np.asfortranarray(candidates[:, selection.indices])
-    return selection, winners, data
+    selection, winners, data = _select_columns(candidates, b, l, union_globals)
+    return replace(selection, exhausted=len(selection.indices) < l), winners, data
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .generalized import generalized_select
-from .greedy import SelectionResult, greedy_select
+from .greedy import SelectionResult, _check_budget, greedy_select
 from .linalg import (
     DegenerateBasisError,
     _projection_errors,
@@ -77,8 +77,7 @@ def best_rank_error(a: np.ndarray, rank: int, seed: int = 0) -> float:
 
 def uniform_select(n: int, l: int, seed: int) -> list[int]:
     """Uniform sample of ``l`` distinct column indices."""
-    if l < 1 or l > n:
-        raise ValueError(f"budget l must satisfy 1 <= l <= {n}, got {l}")
+    _check_budget(l, n)
     rng = np.random.default_rng(seed)
     return [int(i) for i in rng.choice(n, size=l, replace=False)]
 
@@ -149,8 +148,7 @@ def hybrid_select(a: np.ndarray, l: int, probability_mode: str, seed: int) -> li
     m, n = a.shape
     if l < 2:
         raise ValueError("hybrid selection needs l >= 2 so the sample can exceed l")
-    if l > n:
-        raise ValueError(f"budget l must satisfy l <= {n}, got {l}")
+    _check_budget(l, n)
     if probability_mode not in HYBRID_MODES:
         raise ValueError(
             f"unknown probability mode {probability_mode!r}, expected one of {HYBRID_MODES}"
@@ -206,9 +204,7 @@ def naive_greedy_oracle(a: np.ndarray, l: int) -> SelectionResult:
     one; the run stops as exhausted when no column is active.
     """
     _check_oracle_scale(a)
-    n = a.shape[1]
-    if l < 1 or l > n:
-        raise ValueError(f"budget l must satisfy 1 <= l <= {n}, got {l}")
+    _check_budget(l, a.shape[1])
     den_init = np.sum(a * a, axis=0)
     selected: list[int] = []
     gains: list[float] = []
@@ -240,9 +236,7 @@ def naive_generalized_oracle(a: np.ndarray, b: np.ndarray, l: int) -> SelectionR
     _check_oracle_scale(a)
     if a.shape[0] != b.shape[0]:
         raise ValueError("source and target must have the same number of rows")
-    n = a.shape[1]
-    if l < 1 or l > n:
-        raise ValueError(f"budget l must satisfy 1 <= l <= {n}, got {l}")
+    _check_budget(l, a.shape[1])
     den_init = np.sum(a * a, axis=0)
     target_energy = frobenius_sq(b)
     selected: list[int] = []

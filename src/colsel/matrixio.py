@@ -8,6 +8,7 @@ column-streaming access pattern of the selection algorithms.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -38,7 +39,7 @@ def _parse_float(token: str, path, lineno: int) -> float:
         value = float(token)
     except ValueError:
         raise MatrixFormatError(path, f"cannot parse {token!r} as a number", lineno)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise MatrixFormatError(path, f"non-finite value {token!r}", lineno)
     return value
 
@@ -61,7 +62,7 @@ def _load_csv(path) -> np.ndarray:
             rows.append(values)
     if not rows:
         raise MatrixFormatError(path, "file contains no rows")
-    return as_matrix(rows)
+    return np.array(rows, dtype=np.float64, order="F")
 
 
 def _load_coordinate(path) -> np.ndarray:
@@ -130,34 +131,35 @@ def _load_binary(path) -> np.ndarray:
     return data
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+
+
+def _write_csv(a: np.ndarray, handle) -> None:
+    handle.writelines(",".join(f"{v:.17g}" for v in row) + "\n" for row in a)
+
+
 def load_matrix(path, fmt: str) -> np.ndarray:
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "coordinate":
-        return _load_coordinate(path)
-    if fmt == "binary":
-        return _load_binary(path)
-    raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    _check_format(fmt)
+    return {"csv": _load_csv, "coordinate": _load_coordinate, "binary": _load_binary}[fmt](path)
 
 
 def save_matrix(matrix: np.ndarray, path, fmt: str) -> None:
     a = as_matrix(matrix)
+    _check_format(fmt)
     if fmt == "csv":
         with open(path, "w", encoding="utf-8") as handle:
-            for row in a:
-                handle.write(",".join(f"{v:.17g}" for v in row))
-                handle.write("\n")
+            _write_csv(a, handle)
     elif fmt == "coordinate":
         rows, cols = np.nonzero(a)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(f"{a.shape[0]} {a.shape[1]} {rows.size}\n")
             for i, j in zip(rows, cols):
                 handle.write(f"{i} {j} {a[i, j]:.17g}\n")
-    elif fmt == "binary":
+    else:
         with open(path, "wb") as handle:
             handle.write(MAGIC)
             handle.write(struct.pack("<QQ", a.shape[0], a.shape[1]))
             # The column-major buffer itself, which tobytes would copy first.
             handle.write(np.asarray(a, dtype="<f8").ravel(order="F"))
-    else:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")

@@ -2,6 +2,7 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import colsel
@@ -24,3 +25,32 @@ def test_only_the_package_declares_all():
         if re.search(r"^__all__\b", path.read_text(encoding="utf-8"), re.M)
     )
     assert declaring == ["__init__.py"]
+
+
+_A = np.random.default_rng(3).standard_normal((12, 9))
+_B = np.random.default_rng(4).standard_normal((12, 4))
+_SPEC = colsel.SketchSpec("gaussian", 4, seed=0)
+
+# Every public selector that takes a budget l, called on the 9 columns of _A;
+# the oracles accept this size.
+_SELECTORS = {
+    "greedy_select": lambda l: colsel.greedy_select(_A, l),
+    "generalized_select": lambda l: colsel.generalized_select(_A, _B, l),
+    "distributed_select":
+        lambda l: colsel.distributed_select(_A, colsel.DistributedConfig(2, l, _SPEC)),
+    "naive_distributed_baseline":
+        lambda l: colsel.naive_distributed_baseline(_A, colsel.DistributedConfig(2, l, None)),
+    "uniform_select": lambda l: colsel.uniform_select(_A.shape[1], l, 0),
+    "hybrid_select": lambda l: colsel.hybrid_select(_A, l, "uniform", 0),
+    "sketch_svd_select": lambda l: colsel.sketch_svd_select(_A, l, 3, 0),
+    "naive_greedy_oracle": lambda l: colsel.naive_greedy_oracle(_A, l),
+    "naive_generalized_oracle": lambda l: colsel.naive_generalized_oracle(_A, _B, l),
+}
+
+
+@pytest.mark.parametrize("name", list(_SELECTORS))
+def test_every_selector_rejects_a_budget_past_the_column_count(name):
+    n = _A.shape[1]
+    message = f"budget l must satisfy 1 <= l <= {n}, got {n + 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _SELECTORS[name](n + 1)

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -482,3 +483,32 @@ def test_every_failure_exits_2_3_or_4(cli_files, capsys, argv, malformed, want):
         assert "usage:" in err
     elif code:
         assert err.startswith(("colsel: error: ", "colsel: numerical degeneracy: ")), err
+
+
+def test_sketch_stdout_matches_a_saved_csv_sketch(tmp_path, capsys):
+    a = random_matrix(9, 13, seed=61)
+    path, saved = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_matrix(a, path, "csv")
+    code, out, _ = run_cli(capsys, ["sketch", "--input", str(path), "--seed", "7",
+                                    "--sketch", "gaussian", "--r", "5"])
+    assert code == 0
+    save_matrix(sketch_matrix(a, SketchSpec("gaussian", 5, seed=derive_seed(7, "sketch"))),
+                saved, "csv")
+    assert out.encode("utf-8") == saved.read_bytes()
+
+
+def test_select_dist_total_covers_the_whole_run(tmp_path, capsys, monkeypatch):
+    path, summary = tmp_path / "a.csv", tmp_path / "run.json"
+    save_matrix(random_matrix(12, 16, seed=62), path, "csv")
+    load = colsel.cli.load_matrix
+
+    def slow_load(*args):
+        time.sleep(0.05)
+        return load(*args)
+
+    monkeypatch.setattr(colsel.cli, "load_matrix", slow_load)
+    code, _, _ = run_cli(capsys, ["select-dist", "--input", str(path), "--l", "4",
+                                  "--partitions", "2", "--r", "6", "--summary", str(summary)])
+    assert code == 0
+    timings = json.loads(summary.read_text())["timings"]
+    assert timings["total"] >= 0.05 + timings["sketch"] + timings["map"] + timings["reduce"]

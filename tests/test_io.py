@@ -166,3 +166,17 @@ def test_coordinate_round_trip(tmp_path):
 def test_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="unknown format"):
         load_matrix(tmp_path / "x", "parquet")
+
+
+def test_csv_non_finite_value_names_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("1,2\n3,inf\n")
+    with pytest.raises(MatrixFormatError, match=r":2: non-finite value 'inf'$"):
+        load_matrix(path, "csv")
+
+
+def test_save_rejects_an_unknown_format_before_writing(tmp_path):
+    path = tmp_path / "x"
+    with pytest.raises(ValueError, match=r"^unknown format 'parquet', expected one of \("):
+        save_matrix(np.eye(2), path, "parquet")
+    assert not path.exists()
