@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
                   need_l=True)
     base.add_argument("method", choices=BASELINES)
     base.add_argument("--r", type=int,
-                      help="singular-vector count for sketch-svd (default: l)")
+                      help="singular-vector count for sketch-svd (default: l, at most min(m, n))")
     base.add_argument("--partitions", type=int, default=1)
 
     ev = common(sub.add_parser("eval", help="relative accuracy of an index list"))
@@ -214,8 +214,7 @@ def _run_baseline(args, a) -> list[int]:
     if args.method == "hybrid-svd":
         return evaluate.hybrid_select(a, args.l, "svd-rows", args.seed)
     if args.method == "sketch-svd":
-        k = args.r if args.r is not None else args.l
-        return evaluate.sketch_svd_select(a, args.l, k, args.seed)
+        return evaluate.sketch_svd_select(a, args.l, args.r, args.seed)
     config = DistributedConfig(partitions=args.partitions, budget=args.l, sketch=None)
     return naive_distributed_baseline(a, config)
 

@@ -31,19 +31,14 @@ from .sketch import SketchSpec, sketch_partitioned
 class DistributedConfig:
     """Partitioning, budget and sketch parameters for one pipeline run.
 
-    The sketch may be omitted only for the naive baseline, which never
-    builds a shared target.
+    A plain record, which the pipeline checks in full against the input's
+    columns.  The sketch may be omitted only for the naive baseline, which
+    never builds a shared target.
     """
 
     partitions: int
     budget: int
     sketch: SketchSpec | None
-
-    def __post_init__(self):
-        if self.partitions < 1:
-            raise ValueError(f"partition count must be >= 1, got {self.partitions}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
 
     def resolved_partition_budget(self) -> int:
         # As in the paper, every partition selects up to the global budget, so
@@ -172,13 +167,12 @@ def distributed_select(
     if threads is not None and threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
     _check_budget(config.budget, a.shape[1])
-    l_b = config.resolved_partition_budget()
     t0 = time.perf_counter()
     parts = partition_columns(a, config.partitions)
     b = sketch_partitioned([(p.matrix, p.global_indices) for p in parts], config.sketch)
     t_sketch = time.perf_counter()
 
-    map_results = [map_phase(p, b, l_b) for p in parts]
+    map_results = [map_phase(p, b, config.budget) for p in parts]
     t_map = time.perf_counter()
 
     selection, winners, _ = reduce_phase(map_results, b, config.budget)
@@ -211,7 +205,7 @@ def naive_distributed_baseline(a: np.ndarray, config: DistributedConfig) -> list
     raises ``ValueError``.
     """
     _check_budget(config.budget, a.shape[1])
-    l_b = config.resolved_partition_budget()
     parts = partition_columns(a, config.partitions)
-    _, winners, _ = reduce_phase([map_phase(p, None, l_b) for p in parts], None, config.budget)
+    mapped = [map_phase(p, None, config.budget) for p in parts]
+    _, winners, _ = reduce_phase(mapped, None, config.budget)
     return winners

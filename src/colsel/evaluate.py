@@ -138,6 +138,10 @@ def relative_accuracy(
     return _accuracy(a, len(cols), error, energy, uniform_trials, seed)
 
 
+def _svd_rank(a: np.ndarray, l: int) -> int:
+    return min(l, *a.shape)
+
+
 def hybrid_select(a: np.ndarray, l: int, probability_mode: str, seed: int) -> list[int]:
     """Two-phase selection: probabilistic over-sampling, then greedy reduction.
 
@@ -145,7 +149,7 @@ def hybrid_select(a: np.ndarray, l: int, probability_mode: str, seed: int) -> li
     the column count) with the requested probabilities; the deterministic
     phase runs the greedy selection restricted to the sample.
     """
-    m, n = a.shape
+    n = a.shape[1]
     if l < 2:
         raise ValueError("hybrid selection needs l >= 2 so the sample can exceed l")
     _check_budget(l, n)
@@ -161,8 +165,7 @@ def hybrid_select(a: np.ndarray, l: int, probability_mode: str, seed: int) -> li
         if probability_mode == "column-norm":
             mass = column_norms_sq(a)
         else:
-            k = min(l, min(m, n))
-            svd = randomized_svd(a, k, seed=derive_seed(seed, "hybrid-svd"))
+            svd = randomized_svd(a, _svd_rank(a, l), seed=derive_seed(seed, "hybrid-svd"))
             mass = np.sum(svd.v * svd.v, axis=1)
         total = float(mass.sum())
         if total <= 0.0:
@@ -176,11 +179,15 @@ def hybrid_select(a: np.ndarray, l: int, probability_mode: str, seed: int) -> li
     return [int(sampled[j]) for j in restricted.indices]
 
 
-def sketch_svd_select(a: np.ndarray, l: int, k: int, seed: int) -> list[int]:
+def sketch_svd_select(a: np.ndarray, l: int, k: int | None, seed: int) -> list[int]:
     """Select columns that best reconstruct the leading singular directions.
 
     The target is the rank-``k`` factor U_k scaled by its singular values.
+    The budget is checked first; ``k=None`` takes rank ``l``, capped at the
+    smaller dimension of ``a``, as :func:`hybrid_select` does.
     """
+    _check_budget(l, a.shape[1])
+    k = _svd_rank(a, l) if k is None else k
     svd = randomized_svd(a, k, seed=derive_seed(seed, "sketch-svd"))
     target = svd.u * svd.singular_values
     return generalized_select(a, target, l).indices

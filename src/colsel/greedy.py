@@ -194,15 +194,14 @@ def _cross_norms_sq(
 def init_state(a: np.ndarray, b: np.ndarray | None = None) -> SelectionState:
     """Initial scores: num from the correlations with the target, den from column norms.
 
-    Without a target ``b`` the source ``a`` is its own target.
+    Without a target ``b`` the source ``a`` is its own target.  Only nonzero
+    columns start active, so a zero matrix is exhausted at its first step.
     """
     if b is not None and a.shape[0] != b.shape[0]:
         raise ValueError(
             f"row mismatch: source has {a.shape[0]} rows, target has {b.shape[0]}"
         )
     den = column_norms_sq(a)
-    if not np.any(den > 0.0):
-        raise ValueError("matrix has no nonzero columns; nothing to select")
     num, bta, gram = _cross_norms_sq(a, a if b is None else b, den)
     return SelectionState(
         score_num=num,

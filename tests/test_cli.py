@@ -361,7 +361,10 @@ def test_data_errors_exit_3(tmp_path, eye3_csv, capsys, monkeypatch):
     ["select", "--l", "60"],
     ["select-dist", "--l", "100", "--r", "8", "--partitions", "2"],
     ["baseline", "naive-dist", "--l", "60", "--partitions", "2"],
-], ids=["select", "select-dist", "naive-dist"])
+    ["select-dist", "--l", "0", "--r", "8", "--partitions", "2"],
+    ["baseline", "naive-dist", "--l", "0", "--partitions", "2"],
+    ["baseline", "sketch-svd", "--l", "60"],
+], ids=["select", "select-dist", "naive-dist", "select-dist-l0", "naive-dist-l0", "sketch-svd"])
 def test_budget_past_the_column_count_exits_3(tmp_path, capsys, argv):
     # 30 x 50 has rank 30: the pipelines used to stop there and exit 0.
     path = tmp_path / "a.csv"
@@ -370,6 +373,28 @@ def test_budget_past_the_column_count_exits_3(tmp_path, capsys, argv):
     assert code == 3
     assert out == ""
     assert "budget l must satisfy 1 <= l <= 50" in err
+
+
+def test_sketch_svd_rank_defaults_to_l_capped_at_the_row_count(tmp_path, capsys):
+    path = tmp_path / "a.csv"
+    save_matrix(random_matrix(30, 50, seed=3), path, "csv")
+    code, out, err = run_cli(capsys, ["baseline", "sketch-svd", "--input", str(path),
+                                      "--l", "40"])
+    assert code == 0, err
+    _, plain, _ = run_cli(capsys, ["select", "--input", str(path), "--l", "40"])
+    assert len(out.split()) == len(plain.split()) == 30
+
+
+def test_select_dist_skips_a_partition_with_no_nonzero_column(tmp_path, capsys):
+    a = random_matrix(30, 50, seed=3)
+    a[:, :25] = 0.0
+    path = tmp_path / "a.csv"
+    save_matrix(a, path, "csv")
+    code, out, err = run_cli(capsys, ["select-dist", "--input", str(path), "--l", "4",
+                                      "--r", "8", "--partitions", "2"])
+    assert code == 0, err
+    picks = [int(v) for v in out.split()]
+    assert len(picks) == 4 and min(picks) >= 25
 
 
 def test_degeneracy_exit_4(tmp_path, capsys):

@@ -264,10 +264,12 @@ def test_distributed_report_accounting():
 
 def test_config_validation():
     spec = SketchSpec("gaussian", r=4, seed=0)
-    with pytest.raises(ValueError):
-        DistributedConfig(partitions=0, budget=3, sketch=spec)
-    with pytest.raises(ValueError):
-        DistributedConfig(partitions=2, budget=0, sketch=spec)
+    a = random_matrix(4, 6, seed=0)
+    # a config holds values; the pipeline checks them against the 6 columns
+    with pytest.raises(ValueError, match="cannot split 6 columns into 0 partitions"):
+        distributed_select(a, DistributedConfig(partitions=0, budget=3, sketch=spec))
+    with pytest.raises(ValueError, match=r"budget l must satisfy 1 <= l <= 6, got 0"):
+        distributed_select(a, DistributedConfig(partitions=2, budget=0, sketch=spec))
     cfg = DistributedConfig(partitions=4, budget=10, sketch=spec)
     assert cfg.resolved_partition_budget() == 10
     with pytest.raises(ValueError, match="requires a sketch"):
@@ -275,6 +277,18 @@ def test_config_validation():
                            DistributedConfig(partitions=2, budget=2, sketch=None))
     with pytest.raises(ValueError, match="thread count"):
         distributed_select(random_matrix(4, 6, seed=0), cfg, threads=0)
+
+
+def test_a_partition_with_no_nonzero_column_emits_nothing():
+    a = random_matrix(30, 50, seed=3)
+    a[:, :25] = 0.0
+    cfg = gaussian_config(c=2, l=4, r=8, seed=0)
+    zero_block = partition_columns(a, 2)[0]
+    assert map_phase(zero_block, sketch_matrix(a, cfg.sketch), 4).global_indices == []
+    report = distributed_select(a, cfg)
+    assert len(report.selected) == 4 and min(report.selected) >= 25
+    baseline = naive_distributed_baseline(a, cfg)
+    assert len(baseline) == 4 and min(baseline) >= 25
 
 
 def test_naive_baseline_single_partition_is_greedy():

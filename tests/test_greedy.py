@@ -11,6 +11,7 @@ from colsel import (
     generalized_select,
     greedy_select,
     init_state,
+    naive_generalized_oracle,
     naive_greedy_oracle,
     reconstruction_error,
     select_next,
@@ -102,9 +103,21 @@ def test_init_state_gram_form_across_blocks_matches_per_column_norms(kind, monke
         assert np.count_nonzero(redo) > 0
 
 
-def test_init_state_rejects_zero_matrix():
-    with pytest.raises(ValueError, match="no nonzero columns"):
-        init_state(as_matrix(np.zeros((3, 3))))
+def test_zero_matrix_is_exhausted_like_the_oracle():
+    b = random_matrix(3, 5, seed=30)
+    # 3 x 3 takes the direct form and 3 x 30 the Gram form, with and without b
+    for n in (3, 30):
+        a = as_matrix(np.zeros((3, n)))
+        for target in (None, b):
+            state = init_state(a, target)
+            assert not state.active.any()
+            assert (state.gram is None) == (n == 3)
+        plain = greedy_select(a, 2)
+        assert plain == naive_greedy_oracle(a, 2)
+        assert plain.indices == [] and plain.exhausted
+        general = generalized_select(a, b, 2)
+        assert general == naive_generalized_oracle(a, b, 2)
+        assert general.indices == [] and general.exhausted
 
 
 def test_select_next_orthogonal_columns_largest_norm_first():
