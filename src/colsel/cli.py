@@ -24,7 +24,15 @@ from .matrixio import FORMATS, _write_csv, load_matrix, save_matrix
 from .seeds import derive_seed
 from .sketch import KINDS, SketchSpec, sketch_matrix
 
-BASELINES = ("uniform", "hybrid-uni", "hybrid-col", "hybrid-svd", "sketch-svd", "naive-dist")
+_BASELINES = {
+    "uniform": lambda a, args: evaluate.uniform_select(a.shape[1], args.l, args.seed),
+    "hybrid-uni": lambda a, args: evaluate.hybrid_select(a, args.l, "uniform", args.seed),
+    "hybrid-col": lambda a, args: evaluate.hybrid_select(a, args.l, "column-norm", args.seed),
+    "hybrid-svd": lambda a, args: evaluate.hybrid_select(a, args.l, "svd-rows", args.seed),
+    "sketch-svd": lambda a, args: evaluate.sketch_svd_select(a, args.l, args.r, args.seed),
+    "naive-dist": lambda a, args: naive_distributed_baseline(
+        a, DistributedConfig(partitions=args.partitions, budget=args.l, sketch=None)),
+}
 
 
 # The --summary document's keys; a value that a subcommand does not set is null.
@@ -73,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     base = common(sub.add_parser("baseline", help="run a baseline selection method"),
                   need_l=True)
-    base.add_argument("method", choices=BASELINES)
+    base.add_argument("method", choices=_BASELINES)
     base.add_argument("--r", type=int,
                       help="singular-vector count for sketch-svd (default: l, at most min(m, n))")
     base.add_argument("--partitions", type=int, default=1)
@@ -164,7 +172,7 @@ def _run(args) -> int:
         }
 
     elif args.command == "baseline":
-        selected = _run_baseline(args, a)
+        selected = _BASELINES[args.method](a, args)
         if args.summary:
             summary = {"method": f"baseline-{args.method}",
                        "parameters": {"l": args.l, "seed": args.seed, "method": args.method},
@@ -201,22 +209,6 @@ def _run(args) -> int:
             json.dump(doc, handle, indent=2, sort_keys=True)
             handle.write("\n")
     return 0
-
-
-def _run_baseline(args, a) -> list[int]:
-    n = a.shape[1]
-    if args.method == "uniform":
-        return evaluate.uniform_select(n, args.l, args.seed)
-    if args.method == "hybrid-uni":
-        return evaluate.hybrid_select(a, args.l, "uniform", args.seed)
-    if args.method == "hybrid-col":
-        return evaluate.hybrid_select(a, args.l, "column-norm", args.seed)
-    if args.method == "hybrid-svd":
-        return evaluate.hybrid_select(a, args.l, "svd-rows", args.seed)
-    if args.method == "sketch-svd":
-        return evaluate.sketch_svd_select(a, args.l, args.r, args.seed)
-    config = DistributedConfig(partitions=args.partitions, budget=args.l, sketch=None)
-    return naive_distributed_baseline(a, config)
 
 
 def main(argv=None) -> int:

@@ -87,7 +87,9 @@ def _select_columns(
     block: np.ndarray, b: np.ndarray | None, l: int, global_indices: list[int]
 ) -> tuple[SelectionResult, list[int], np.ndarray]:
     """Select up to ``l`` columns of ``block``: the picks, their global indices and data."""
-    selection = _select(block, b, min(l, block.shape[1]))
+    # neither phase knows the full column count, so no budget is too large
+    _check_budget(l, sys.maxsize)
+    selection = _select(block, b, l)
     picked = [global_indices[j] for j in selection.indices]
     return selection, picked, np.asfortranarray(block[:, selection.indices])
 
@@ -96,7 +98,8 @@ def map_phase(partition: Partition, b: np.ndarray | None, l_b: int) -> Partition
     """Select up to ``l_b`` columns of one partition against the shared target.
 
     With ``b=None`` the partition's own block is the target.  The index map
-    holds one index per block column and passes ``check_column_set``.
+    holds one index per block column and passes ``check_column_set``.  A
+    zero or 0-column block emits no column.
     """
     # neither phase knows the full column count, so no index is too large
     indices = check_column_set(partition.global_indices, sys.maxsize)
@@ -115,16 +118,14 @@ def reduce_phase(
     indices and their union pass ``check_column_set``.  Returns the
     selection over the concatenated candidates, the winners' global indices
     and column data.  The exhausted flag is set whenever fewer than ``l``
-    columns come back: the union is smaller, the candidates run out or
-    ``b`` is already reconstructed.
+    columns come back: the union is smaller or empty, the candidates run
+    out or ``b`` is already reconstructed.
     """
     if not results:
         raise ValueError("reduce phase needs at least one partition result")
     ordered = sorted(results, key=lambda r: r.pid)
     union = chain(*(check_column_set(r.global_indices, sys.maxsize) for r in ordered))
     union_globals = check_column_set(union, sys.maxsize)
-    if not union_globals:
-        raise ValueError("no candidate columns reached the reduce phase")
     candidates = np.asfortranarray(
         np.concatenate([r.columns for r in ordered], axis=1)
     )

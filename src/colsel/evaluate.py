@@ -147,7 +147,9 @@ def hybrid_select(a: np.ndarray, l: int, probability_mode: str, seed: int) -> li
 
     The randomized phase samples ceil(l*ln(l)) distinct columns (capped at
     the column count) with the requested probabilities; the deterministic
-    phase runs the greedy selection restricted to the sample.
+    phase runs the greedy selection restricted to the sample.  A zero
+    matrix gives no columns, as greedy does, also in column-norm mode,
+    where it has no sampling mass.
     """
     n = a.shape[1]
     if l < 2:
@@ -169,7 +171,7 @@ def hybrid_select(a: np.ndarray, l: int, probability_mode: str, seed: int) -> li
             mass = np.sum(svd.v * svd.v, axis=1)
         total = float(mass.sum())
         if total <= 0.0:
-            raise ValueError("sampling probabilities have zero total mass")
+            return []
         probs = mass / total
         # sampling without replacement cannot pick zero-probability columns
         sample_size = min(sample_size, int(np.count_nonzero(probs)))

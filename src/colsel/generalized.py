@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .greedy import SelectionResult, _select, init_state, select_next
+from .greedy import SelectionResult, _check_budget, _select, init_state, select_next
 
 generalized_init = init_state
 _select_next_generalized = select_next
@@ -21,4 +21,5 @@ def generalized_select(a: np.ndarray, b: np.ndarray, l: int) -> SelectionResult:
     Stops early (with a flag) once the target is reconstructed to round-off,
     rather than spending the remaining budget on zero-gain columns.
     """
+    _check_budget(l, a.shape[1])
     return _select(a, b, l)

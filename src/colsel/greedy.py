@@ -233,16 +233,16 @@ def _pick(
 
     ``pivot_of(p)`` returns candidate ``p``'s squared residual norm against
     the current selection and the vector it came from; both are returned
-    with ``p``.
+    with ``p``.  This is the one place that decides a selection has run out:
+    with no active candidate left, or none to begin with, it raises
+    :class:`ExhaustedError`.
     """
     # Inactive candidates may divide by zero; their ratios are masked out.
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = state.score_num / state.score_den
     np.putmask(ratio, ~state.active, -np.inf)
-    while True:
+    while state.active.any():
         p = int(ratio.argmax())
-        if not state.active[p]:
-            raise ExhaustedError("no active candidate columns remain")
         pivot, vec = pivot_of(p)
         if pivot > RANK_TOLERANCE * state.den_init[p]:
             state.gains.append(float(ratio[p]))
@@ -251,6 +251,7 @@ def _pick(
         # but the column is numerically dependent on the current selection.
         state.active[p] = False
         ratio[p] = -np.inf
+    raise ExhaustedError("no active candidate columns remain")
 
 
 def _update_scores(state: SelectionState, w: np.ndarray, corr: np.ndarray, vv: float) -> None:
@@ -367,16 +368,13 @@ def select_next(state: SelectionState, a: np.ndarray, b: np.ndarray | None = Non
     smallest index (argmax returns the first maximum).  A candidate whose
     recomputed pivot turns out to be negligible is deactivated and the
     next best one is taken; :class:`ExhaustedError` is raised once no
-    active candidate remains, and once there are as many picks as ``a`` has
-    rows.
+    active candidate remains.  The pick that brings the count to the
+    number of rows of ``a`` deactivates every candidate: m independent
+    picks span every column, and rounding in the score recursion could
+    otherwise let one more through.
     """
     if (b is None) != (state.cross_buffer is None):
         raise ValueError("select_next needs the same target that init_state was given")
-    if len(state.selected) == a.shape[0]:
-        # m independent picks span every column; rounding in the score
-        # recursion could otherwise let one more through.
-        state.active[:] = False
-        raise ExhaustedError("the picks already span the column space")
     if state.gram is None:
         p = _column_space_step(state, a, b)
     else:
@@ -384,6 +382,8 @@ def select_next(state: SelectionState, a: np.ndarray, b: np.ndarray | None = Non
     state.selected.append(p)
     state.active[p] = False
     state.deactivate_spent()
+    if len(state.selected) == a.shape[0]:
+        state.active[:] = False
     return p
 
 
@@ -411,9 +411,9 @@ def _select(a: np.ndarray, b: np.ndarray | None, l: int) -> SelectionResult:
     the source's values, the same array or a copy, is no separate target:
     it runs as plain greedy, which stops only on exhaustion.  The energy
     test would end it early on badly scaled inputs, returning fewer than
-    ``l`` picks.  This is the one place that decides it.
+    ``l`` picks.  This is the one place that decides it.  The loop trusts
+    ``l``: each public selector checks it, and a large one ends in exhaustion.
     """
-    _check_budget(l, a.shape[1])
     if b is not None and np.array_equal(b, a):
         b = None
     state = init_state(a, b)
@@ -446,4 +446,5 @@ def greedy_select(a: np.ndarray, l: int) -> SelectionResult:
     If the matrix runs out of independent columns early, the result holds
     fewer indices and the exhausted flag is set; indices are never padded.
     """
+    _check_budget(l, a.shape[1])
     return _select(a, None, l)

@@ -482,8 +482,10 @@ def _exit_code_cases():
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
-    files = {"a": root / "a.csv", "b": root / "b.csv", "idx": root / "idx.txt"}
+    files = {"a": root / "a.csv", "b": root / "b.csv", "idx": root / "idx.txt",
+             "zero": root / "zero.csv"}
     save_matrix(random_matrix(30, 50, seed=3), files["a"], "csv")
+    save_matrix(np.zeros((30, 50)), files["zero"], "csv")
     save_matrix(random_matrix(30, 6, seed=4), files["b"], "csv")
     files["idx"].write_text("0\n2\n5\n")
     for kind, (_, content) in _MALFORMED.items():
@@ -537,3 +539,21 @@ def test_select_dist_total_covers_the_whole_run(tmp_path, capsys, monkeypatch):
     assert code == 0
     timings = json.loads(summary.read_text())["timings"]
     assert timings["total"] >= 0.05 + timings["sketch"] + timings["map"] + timings["reduce"]
+
+
+_ZERO_RUNS = [base for base, _ in _RUNS if base[0] != "eval"]
+_ZERO_RUNS.append(["select-dist", "--sketch", "identity", "--partitions", "2", "--l", "4"])
+
+
+@pytest.mark.parametrize("argv", _ZERO_RUNS, ids=" ".join)
+def test_nothing_to_pick_exits_0_with_no_picks(cli_files, capsys, argv):
+    argv = [arg.format(**cli_files) for arg in argv]
+    code, out, err = run_cli(capsys, [*argv, "--input", cli_files["zero"]])
+    assert code == 0, err
+    assert err == ""
+    if argv[0] == "sketch":
+        assert not np.loadtxt(io.StringIO(out), delimiter=",").any()
+    elif argv[:2] == ["baseline", "uniform"]:
+        assert len(out.split()) == 4
+    else:
+        assert out == ""

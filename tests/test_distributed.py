@@ -162,8 +162,10 @@ def test_reduce_rejects_an_empty_union():
     b[2:] = random_matrix(2, 2, seed=29)
     mapped = map_phase(Partition(pid=0, matrix=block, global_indices=np.arange(3)), b, l_b=2)
     assert mapped.global_indices == []
-    with pytest.raises(ValueError, match="no candidate columns"):
-        reduce_phase([mapped], b, l=2)
+    # an empty union is not rejected: it has nothing to pick
+    selection, winners, data = reduce_phase([mapped], b, l=2)
+    assert selection.indices == winners == [] and selection.exhausted
+    assert data.shape == (4, 0)
 
 
 def test_reduce_full_union_beats_any_single_partition():
@@ -289,6 +291,24 @@ def test_a_partition_with_no_nonzero_column_emits_nothing():
     assert len(report.selected) == 4 and min(report.selected) >= 25
     baseline = naive_distributed_baseline(a, cfg)
     assert len(baseline) == 4 and min(baseline) >= 25
+
+
+def test_a_partition_with_no_column_emits_nothing():
+    empty = Partition(pid=0, matrix=np.zeros((6, 0), order="F"), global_indices=np.arange(0))
+    b = random_matrix(6, 3, seed=30)
+    for target in (b, None):
+        mapped = map_phase(empty, target, l_b=2)
+        assert mapped.global_indices == [] and mapped.columns.shape == (6, 0)
+
+
+def test_phases_reject_a_budget_below_one():
+    part = Partition(pid=0, matrix=random_matrix(6, 4, seed=31), global_indices=np.arange(4))
+    b = random_matrix(6, 3, seed=32)
+    with pytest.raises(ValueError, match="budget l must satisfy 1 <= l"):
+        map_phase(part, b, l_b=0)
+    mapped = map_phase(part, b, l_b=2)
+    with pytest.raises(ValueError, match="budget l must satisfy 1 <= l"):
+        reduce_phase([mapped], b, l=0)
 
 
 def test_naive_baseline_single_partition_is_greedy():

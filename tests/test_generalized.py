@@ -98,6 +98,17 @@ def test_init_rejects_row_mismatch():
         generalized_init(random_matrix(4, 3, seed=0), random_matrix(5, 2, seed=1))
 
 
+def test_flags_match_the_oracle_past_the_row_count():
+    # l = n > m: the m-th pick spans the column space and leaves no candidate,
+    # so the run is exhausted, not reconstructed.  The picks themselves may
+    # differ from the oracle's at the rank-th tie.
+    a, b = random_matrix(11, 22, seed=45), random_matrix(11, 6, seed=52)
+    got = generalized_select(a, b, 22)
+    want = naive_generalized_oracle(a, b, 22)
+    assert (got.exhausted, got.target_reconstructed) == (want.exhausted, want.target_reconstructed)
+    assert (got.exhausted, got.target_reconstructed) == (True, False)
+
+
 def test_reduction_to_plain_greedy_is_exact():
     # The badly scaled inputs would trip a separate target's energy stop
     # after the 4 large columns; a target that holds the source's values,
