@@ -42,7 +42,6 @@ _EXPORTS = {
         "select_next",
     ),
     "linalg": (
-        "DegenerateBasisError",
         "SvdResult",
         "as_matrix",
         "frobenius_sq",

@@ -1,8 +1,8 @@
 """Command-line interface tying the selection pipeline together.
 
 Exit codes: 0 success, 2 usage error, 3 data error (unreadable or
-inconsistent inputs, or a matrix or sketch too large to allocate), 4
-numerical degeneracy.  All indices are 0-based.
+inconsistent inputs, an undefined metric, or a matrix or sketch too large
+to allocate).  All indices are 0-based.
 In each subcommand with a stochastic component (sketch, select-dist,
 baseline, eval) a single ``--seed`` drives all of them; sub-seeds are
 derived from it deterministically.
@@ -19,7 +19,7 @@ from . import evaluate
 from .distributed import DistributedConfig, distributed_select, naive_distributed_baseline
 from .generalized import generalized_select
 from .greedy import greedy_select
-from .linalg import DegenerateBasisError, _projection_errors, reconstruction_error
+from .linalg import _projection_errors, reconstruction_error
 from .matrixio import FORMATS, _write_csv, load_matrix, save_matrix
 from .seeds import derive_seed
 from .sketch import KINDS, SketchSpec, sketch_matrix
@@ -219,9 +219,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _run(args)
-    except DegenerateBasisError as exc:
-        print(f"colsel: numerical degeneracy: {exc}", file=sys.stderr)
-        return 4
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: too large to allocate
         print(f"colsel: error: {exc}", file=sys.stderr)
         return 3

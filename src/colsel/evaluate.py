@@ -1,10 +1,9 @@
 """Evaluation metric, sampling baselines, and brute-force oracles.
 
 The metric takes every projection error from the QR kernel that
-:mod:`colsel.linalg` owns.  Only :func:`relative_accuracy` falls back to
-``lstsq``, for dependent column sets such as uniform draws with repeated
-columns.  The oracles recompute every quantity directly with dense
-``lstsq`` projections and never call that kernel: they exist so the
+:mod:`colsel.linalg` owns, dependent column sets included: their error is
+the error of their span.  The oracles recompute every quantity directly
+with dense ``lstsq`` projections and never call that kernel: they exist so the
 recursive production paths, and the kernel itself, can be validated against
 an independent route, and are guarded to test-scale inputs.
 """
@@ -18,7 +17,6 @@ import numpy as np
 from .generalized import generalized_select
 from .greedy import SelectionResult, _check_budget, greedy_select
 from .linalg import (
-    DegenerateBasisError,
     _projection_errors,
     check_column_set,
     column_norms_sq,
@@ -82,33 +80,29 @@ def uniform_select(n: int, l: int, seed: int) -> list[int]:
     return [int(i) for i in rng.choice(n, size=l, replace=False)]
 
 
-def _tolerant_error(a: np.ndarray, cols: list[int], energy: float) -> float:
-    """Projection error of ``a`` on ``cols``, also for dependent columns.
+def evaluate_selection(
+    a: np.ndarray,
+    indices,
+    uniform_trials: int = 10,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """A selection's squared error and its relative accuracy, as ``(error, accuracy)``.
 
-    Uniform draws can legitimately be linearly dependent (more columns
-    than rows, or repeated columns); their span is still well-defined, so
-    those few fall back to ``lstsq``.
+    See :func:`relative_accuracy` for the metric.
     """
-    try:
-        return _projection_errors(a, cols, [a], [energy])[0]
-    except DegenerateBasisError:
-        return _lstsq_error(a, cols, a)
-
-
-def _accuracy(
-    a: np.ndarray, l: int, error: float, energy: float, uniform_trials: int, seed: int
-) -> float:
-    """Relative accuracy of a selection of ``l`` columns with squared error ``error``."""
-    if l < 1:
+    cols = check_column_set(indices, a.shape[1])
+    if not cols:
         raise ValueError("selection must contain at least one column")
     if uniform_trials < 1:
         raise ValueError("uniform_trials must be >= 1")
-    n = a.shape[1]
+    energy = frobenius_sq(a)
+    error = _projection_errors(a, cols, [a], [energy])[0]
+    n, l = a.shape[1], len(cols)
     rng = np.random.default_rng(seed)
     uniform_errors = []
     for _ in range(uniform_trials):
         subset = [int(i) for i in rng.choice(n, size=l, replace=False)]
-        uniform_errors.append(math.sqrt(_tolerant_error(a, subset, energy)))
+        uniform_errors.append(math.sqrt(_projection_errors(a, subset, [a], [energy])[0]))
     err_uniform = float(np.mean(uniform_errors))
     err_best = best_rank_error(a, l)
     denom = err_uniform - err_best
@@ -117,7 +111,7 @@ def _accuracy(
             "uniform sampling matches the best rank approximation; "
             "the relative metric is undefined"
         )
-    return 100.0 * (err_uniform - math.sqrt(error)) / denom
+    return error, 100.0 * (err_uniform - math.sqrt(error)) / denom
 
 
 def relative_accuracy(
@@ -128,14 +122,10 @@ def relative_accuracy(
     Both numerator and denominator use Frobenius norms (not their squares).
     The uniform reference is the mean error over ``uniform_trials`` subsets
     drawn from a single stream seeded by ``seed``, so a one-trial call
-    reproduces :func:`uniform_select` with the same seed.  Dependent
-    columns, in the selection or in a uniform subset, are measured by the
-    error of their span.
+    reproduces :func:`uniform_select` with the same seed.  It is the
+    accuracy that :func:`evaluate_selection` returns.
     """
-    cols = check_column_set(columns, a.shape[1])
-    energy = frobenius_sq(a)
-    error = _tolerant_error(a, cols, energy)
-    return _accuracy(a, len(cols), error, energy, uniform_trials, seed)
+    return evaluate_selection(a, columns, uniform_trials, seed)[1]
 
 
 def _svd_rank(a: np.ndarray, l: int) -> int:
@@ -276,20 +266,3 @@ def naive_generalized_oracle(a: np.ndarray, b: np.ndarray, l: int) -> SelectionR
         exhausted=exhausted,
         target_reconstructed=reconstructed,
     )
-
-
-def evaluate_selection(
-    a: np.ndarray,
-    indices,
-    uniform_trials: int = 10,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """A selection's squared error and its relative accuracy, as ``(error, accuracy)``.
-
-    Unlike :func:`relative_accuracy`, the selection's error is strict:
-    dependent selected columns raise :class:`DegenerateBasisError`.
-    """
-    cols = check_column_set(indices, a.shape[1])
-    energy = frobenius_sq(a)
-    error = _projection_errors(a, cols, [a], [energy])[0]
-    return error, _accuracy(a, len(cols), error, energy, uniform_trials, seed)

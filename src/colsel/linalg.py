@@ -23,10 +23,11 @@ from typing import Sequence
 
 import numpy as np
 
-# A basis column whose residual against the previously orthogonalized
-# columns falls below this fraction of its original norm is treated as
-# linearly dependent.  Scale-invariant; the greedy module's
-# candidate-deactivation rule uses it too.
+# A column whose residual against the columns before it falls to this
+# fraction of its norm adds nothing to their span.  Greedy's pick and
+# deactivation rules compare squared norms with it, so they stop a
+# selection earlier, at a residual of 1e-6 of the norm: the basis of a
+# set greedy picks keeps every column.  Scale-invariant.
 RANK_TOLERANCE = 1e-12
 
 # The energy form ||T||^2 - ||Q^T T||^2 of a projection error can lose about
@@ -39,17 +40,6 @@ _ENERGY_TOLERANCE = 1e-11
 # Extra probe columns and power iterations of :func:`randomized_svd`.
 _OVERSAMPLE = 10
 _POWER_ITERS = 2
-
-
-class DegenerateBasisError(ValueError):
-    """Selected columns are numerically rank deficient."""
-
-    def __init__(self, indices):
-        self.indices = list(indices)
-        super().__init__(
-            "columns %s are numerically dependent on the other selected columns"
-            % (self.indices,)
-        )
 
 
 def as_matrix(values) -> np.ndarray:
@@ -114,20 +104,21 @@ def frobenius_sq(a: np.ndarray) -> float:
 def _orthonormal_basis(a: np.ndarray, cols: list[int]) -> np.ndarray:
     """Orthonormal basis Q for the span of the nonempty checked column set ``cols`` of ``a``.
 
-    Raises :class:`DegenerateBasisError` naming the offending indices when
-    the selected columns are numerically rank deficient.
+    In a Householder QR of the columns, column j is dependent when
+    ``|r_jj| <= RANK_TOLERANCE * ||a_j||``; dependent columns are dropped
+    and the rest factored again.  Past the first m, columns are dependent
+    once those m pass.  Q has one column per kept column, none when all
+    are dependent.
     """
-    sub = a[:, cols]
     m = a.shape[0]
-    if len(cols) > m:
-        raise DegenerateBasisError(cols[m:])
-    q, r = np.linalg.qr(sub)
-    col_norms = np.sqrt(column_norms_sq(sub))
-    diag = np.abs(np.diag(r))
-    bad = np.flatnonzero(diag <= RANK_TOLERANCE * col_norms)
-    if bad.size:
-        raise DegenerateBasisError([cols[j] for j in bad])
-    return q
+    while cols:
+        sub = a[:, cols[:m]]
+        q, r = np.linalg.qr(sub)
+        kept = np.abs(np.diag(r)) > RANK_TOLERANCE * np.sqrt(column_norms_sq(sub))
+        if kept.all():
+            return q
+        cols = [c for c, keep in zip(cols, kept) if keep] + cols[m:]
+    return np.zeros((m, 0))
 
 
 def _projection_errors(
@@ -144,9 +135,9 @@ def _projection_errors(
     is not small against the result, the explicit residual
     ``T - Q (Q^T T)`` is summed instead.  ``energies`` are the targets'
     ``||T||_F^2`` when the caller already has them.  ``columns`` must
-    already have passed :func:`check_column_set`.  Raises
-    :class:`DegenerateBasisError` when the selected columns are numerically
-    rank deficient; the empty selection yields each ``||T||_F^2``.
+    already have passed :func:`check_column_set`.  Dependent columns add
+    nothing to the span (see :func:`_orthonormal_basis`), so every set has
+    an error; the empty selection yields each ``||T||_F^2``.
     """
     if energies is None:
         energies = [frobenius_sq(target) for target in targets]
