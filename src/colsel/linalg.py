@@ -105,19 +105,25 @@ def _orthonormal_basis(a: np.ndarray, cols: list[int]) -> np.ndarray:
     """Orthonormal basis Q for the span of the nonempty checked column set ``cols`` of ``a``.
 
     In a Householder QR of the columns, column j is dependent when
-    ``|r_jj| <= RANK_TOLERANCE * ||a_j||``; dependent columns are dropped
-    and the rest factored again.  Past the first m, columns are dependent
-    once those m pass.  Q has one column per kept column, none when all
-    are dependent.
+    ``|r_jj| <= RANK_TOLERANCE * ||a_j||``.  The first dependent column j
+    is dropped with every later column whose residual against the columns
+    before j, the norm of its rows from j on in R, is as small; then the
+    rest are factored again.  Later flags are not trusted: the reflector
+    of column j can claim a direction that a later, independent column
+    needs.  Past the first m, columns are dependent once those m pass.
+    Q has one column per kept column, none when all are dependent.
     """
     m = a.shape[0]
     while cols:
         sub = a[:, cols[:m]]
         q, r = np.linalg.qr(sub)
-        kept = np.abs(np.diag(r)) > RANK_TOLERANCE * np.sqrt(column_norms_sq(sub))
-        if kept.all():
+        norms = np.sqrt(column_norms_sq(sub))
+        dependent = np.abs(np.diag(r)) <= RANK_TOLERANCE * norms
+        if not dependent.any():
             return q
-        cols = [c for c, keep in zip(cols, kept) if keep] + cols[m:]
+        j = int(dependent.argmax())
+        kept = np.sqrt(column_norms_sq(r[j:, j:])) > RANK_TOLERANCE * norms[j:]
+        cols = cols[:j] + [c for c, keep in zip(cols[j:m], kept) if keep] + cols[m:]
     return np.zeros((m, 0))
 
 

@@ -20,7 +20,7 @@ from colsel import (
 )
 from colsel.distributed import Partition, PartitionResult
 from colsel.linalg import _orthonormal_basis, _projection_errors, check_column_set
-from instances import badly_scaled_wide, random_matrix
+from instances import badly_scaled_wide, random_matrix, rank_deficient_matrix
 
 
 def project(a, cols, x):
@@ -231,6 +231,20 @@ def test_orthonormal_basis_spans_selection():
     assert np.linalg.norm(q @ (q.T @ a) - a) <= 1e-9 * np.linalg.norm(a)
 
 
+@pytest.mark.parametrize("a, rank", [
+    (rank_deficient_matrix(30, 60, 4, 0), 4), (as_matrix(np.zeros((30, 60))), 0)],
+    ids=["rank-4", "zero"])
+def test_columns_past_the_rank_drop_in_one_round(monkeypatch, a, rank):
+    # Every column after the first dependent one depends on the columns
+    # before it, so one factorization finds them all and a second, of the
+    # kept columns alone, gives the basis.
+    factored = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda x: factored.append(x.shape[1]) or qr(x))
+    assert _orthonormal_basis(a, list(range(20))).shape == (30, rank)
+    assert factored == ([20, rank] if rank else [20])
+
+
 def test_randomized_svd_diagonal_spectrum():
     a = as_matrix(np.diag([5.0, 4.0, 3.0, 2.0, 1.0]))
     res = randomized_svd(a, k=2, seed=0)
@@ -327,9 +341,18 @@ def independent_sets(draw):
 @st.composite
 def dependent_sets(draw):
     """(a, cols) whose selected columns are linearly dependent."""
-    kind = draw(st.sampled_from(["duplicate-column", "rank-deficient", "more-columns-than-rows"]))
+    kind = draw(st.sampled_from(
+        ["duplicate-column", "rank-deficient", "more-columns-than-rows", "axis-aligned"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(3, 30))
+    if kind == "axis-aligned":
+        # one nonzero per column, so residuals are exactly zero: column 0
+        # is zero, and m + 3 columns on m axes repeat some axis
+        a = np.zeros((m, m + 4))
+        a[rng.integers(0, m, size=m + 3), np.arange(1, m + 4)] = rng.standard_normal(m + 3)
+        others = rng.permutation(np.arange(1, m + 4))[: int(rng.integers(0, m + 4))]
+        cols = np.insert(others, int(rng.integers(0, others.size + 1)), 0)
+        return as_matrix(a), [int(j) for j in cols]
     if kind == "duplicate-column":
         a = random_matrix(m, m + 4, seed=int(rng.integers(1000)))
         a = as_matrix(np.hstack([a, 3.0 * a[:, :1]]))
@@ -355,7 +378,7 @@ def _ill_conditioned_case():
     """20 columns with singular values from 1 to 1e-10, all kept in the basis.
 
     The basis drops a column only at |r_jj| <= 1e-12 ||a_j||.  Greedy's
-    squared test, a residual of 1e-6 of the norm, would drop 7 of these and
+    squared test, a residual of 1e-6 of the norm, would drop 6 of these and
     overstate the error by about 1e-13 ||A||^2, 1e-7 of the error itself.
     """
     rng = np.random.default_rng(1)
@@ -376,9 +399,14 @@ def test_projection_error_matches_lstsq(case):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(dependent_sets())
+@example((as_matrix(np.eye(3)[:, [0, 0, 1]]), [0, 1, 2]))
+@example((as_matrix([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), [0, 1]))
 def test_projection_error_of_dependent_sets_matches_lstsq(case):
     # A dependent set's error is the error of its span.  Its rounding is
     # lstsq's own, well above the (m eps)^2 ||A||^2 floor of independent sets.
+    # In the two examples a dependent column with an exactly zero residual
+    # comes before an independent one: its reflector is the identity and
+    # claims the axis that the later column needs.
     a, cols = case
     got = _projection_errors(a, cols, [a])[0]
     assert abs(got - lstsq_error(a, cols, a)) <= 1e-12 * frobenius_sq(a)
