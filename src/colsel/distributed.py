@@ -114,18 +114,21 @@ def reduce_phase(
 ) -> tuple[SelectionResult, list[int], np.ndarray]:
     """Final selection over the union of per-partition picks.
 
-    With ``b=None`` the union itself is the target.  Each result's global
-    indices and their union pass ``check_column_set``.  Returns the
-    selection over the concatenated candidates, the winners' global indices
-    and column data.  The exhausted flag is set whenever fewer than ``l``
-    columns come back: the union is smaller or empty, the candidates run
-    out or ``b`` is already reconstructed.
+    With ``b=None`` the union itself is the target.  Each result holds one
+    column per global index; the indices and their union pass
+    ``check_column_set``.  Returns the selection over the concatenated
+    candidates, the winners' global indices and column data.  The
+    exhausted flag is set whenever fewer than ``l`` columns come back: the
+    union is smaller or empty, the candidates run out or ``b`` is already
+    reconstructed.
     """
     if not results:
         raise ValueError("reduce phase needs at least one partition result")
     ordered = sorted(results, key=lambda r: r.pid)
-    union = chain(*(check_column_set(r.global_indices, sys.maxsize) for r in ordered))
-    union_globals = check_column_set(union, sys.maxsize)
+    indices = [check_column_set(r.global_indices, sys.maxsize) for r in ordered]
+    if any(np.shape(r.columns)[1:] != (len(i),) for r, i in zip(ordered, indices)):
+        raise ValueError("partition result width does not match its global indices")
+    union_globals = check_column_set(chain(*indices), sys.maxsize)
     candidates = np.asfortranarray(
         np.concatenate([r.columns for r in ordered], axis=1)
     )

@@ -1,11 +1,15 @@
-"""Evaluation metric, sampling baselines, and brute-force oracles.
+"""Evaluation metric, sampling baselines, and a brute-force oracle.
 
 The metric takes every projection error from the QR kernel that
 :mod:`colsel.linalg` owns, dependent column sets included: their error is
-the error of their span.  The oracles recompute every quantity directly
-with dense ``lstsq`` projections and never call that kernel: they exist so the
-recursive production paths, and the kernel itself, can be validated against
-an independent route, and are guarded to test-scale inputs.
+the error of their span.  The oracle recomputes every error directly with
+dense ``lstsq`` projections and never calls that kernel.  One definition
+serves plain and generalized selection: each step takes the candidate whose
+addition leaves the smallest error of the target (the source itself for
+plain greedy), and a separate target stops once no candidate lowers that
+error by more than 1e-12 of its energy.  It computes no score, so the
+recursive production paths, their stop rule and the kernel itself are
+checked against an independent route.  It is guarded to test-scale inputs.
 """
 
 from __future__ import annotations
@@ -45,11 +49,6 @@ def _residual(a: np.ndarray, cols: list[int], target: np.ndarray) -> np.ndarray:
     sub = a[:, cols]
     coef, *_ = np.linalg.lstsq(sub, target, rcond=None)
     return target - sub @ coef
-
-
-def _lstsq_error(a: np.ndarray, cols: list[int], target: np.ndarray) -> float:
-    """Squared residual of ``target`` after least-squares fit on selected columns."""
-    return frobenius_sq(_residual(a, cols, target))
 
 
 def best_rank_error(a: np.ndarray, rank: int, seed: int = 0) -> float:
@@ -142,9 +141,9 @@ def hybrid_select(a: np.ndarray, l: int, probability_mode: str, seed: int) -> li
     where it has no sampling mass.
     """
     n = a.shape[1]
+    _check_budget(l, n)
     if l < 2:
         raise ValueError("hybrid selection needs l >= 2 so the sample can exceed l")
-    _check_budget(l, n)
     if probability_mode not in HYBRID_MODES:
         raise ValueError(
             f"unknown probability mode {probability_mode!r}, expected one of {HYBRID_MODES}"
@@ -185,30 +184,33 @@ def sketch_svd_select(a: np.ndarray, l: int, k: int | None, seed: int) -> list[i
     return generalized_select(a, target, l).indices
 
 
-def _check_oracle_scale(a: np.ndarray) -> None:
-    m, n = a.shape
-    if m > ORACLE_SIZE_LIMIT or n > ORACLE_SIZE_LIMIT:
+def _naive_oracle(a: np.ndarray, b: np.ndarray | None, l: int) -> SelectionResult:
+    """Reference selection by explicit recomputation of every error.
+
+    Each step fits the target (``a`` when ``b`` is None) on the picks plus
+    each active candidate with a dense least-squares solve and takes the
+    candidate with the smallest error; ties within 1e-9 of the current
+    error go to the smallest index.  A column is active while it is
+    unselected and its residual norm squared exceeds 1e-12 of its initial
+    one; the run stops as exhausted when no column is active.  A separate
+    target, one that does not hold ``a``'s values, stops as reconstructed
+    once no candidate lowers its error by more than 1e-12 of its energy.
+    """
+    if max(a.shape) > ORACLE_SIZE_LIMIT:
         raise ValueError(
             f"oracle is restricted to matrices with m, n <= {ORACLE_SIZE_LIMIT}"
         )
-
-
-def naive_greedy_oracle(a: np.ndarray, l: int) -> SelectionResult:
-    """Reference greedy selection by explicit recomputation of every error.
-
-    At each step evaluates the reconstruction error of every active
-    candidate with a dense least-squares solve; ties within 1e-9 of the
-    current error go to the smallest index.  A column is active while it is
-    unselected and its residual norm squared exceeds 1e-12 of its initial
-    one; the run stops as exhausted when no column is active.
-    """
-    _check_oracle_scale(a)
+    if b is not None and a.shape[0] != b.shape[0]:
+        raise ValueError("source and target must have the same number of rows")
     _check_budget(l, a.shape[1])
+    separate = b is not None and not np.array_equal(b, a)
+    target = b if separate else a
     den_init = np.sum(a * a, axis=0)
     selected: list[int] = []
     gains: list[float] = []
-    current = frobenius_sq(a)
+    energy = current = frobenius_sq(target)
     exhausted = False
+    reconstructed = False
     for _ in range(l):
         res = _residual(a, selected, a)
         active = np.sum(res * res, axis=0) > 1e-12 * den_init
@@ -217,52 +219,30 @@ def naive_greedy_oracle(a: np.ndarray, l: int) -> SelectionResult:
             exhausted = True
             break
         remaining = [int(i) for i in np.flatnonzero(active)]
-        errors = np.array([_lstsq_error(a, selected + [i], a) for i in remaining])
+        errors = np.array(
+            [frobenius_sq(_residual(a, selected + [i], target)) for i in remaining]
+        )
         best = errors.min()
+        if separate and current - best <= 1e-12 * energy:
+            reconstructed = True
+            break
         pos = next(j for j, err in enumerate(errors) if err <= best + 1e-9 * current)
         gains.append(current - float(errors[pos]))
         current = float(errors[pos])
         selected.append(remaining[pos])
-    return SelectionResult(indices=selected, gains=gains, exhausted=exhausted)
-
-
-def naive_generalized_oracle(a: np.ndarray, b: np.ndarray, l: int) -> SelectionResult:
-    """Reference generalized selection, recomputing both residuals each step.
-
-    Mirrors the production tie-break, deactivation and early-stop rules but
-    evaluates the criterion from explicitly formed residual matrices.
-    """
-    _check_oracle_scale(a)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("source and target must have the same number of rows")
-    _check_budget(l, a.shape[1])
-    den_init = np.sum(a * a, axis=0)
-    target_energy = frobenius_sq(b)
-    selected: list[int] = []
-    gains: list[float] = []
-    exhausted = False
-    reconstructed = False
-    for _ in range(l):
-        res_a = _residual(a, selected, a)
-        res_b = _residual(a, selected, b)
-        den = np.sum(res_a * res_a, axis=0)
-        cross = res_b.T @ res_a
-        num = np.sum(cross * cross, axis=0)
-        active = den > 1e-12 * den_init
-        active[selected] = False
-        if not active.any():
-            exhausted = True
-            break
-        if num[active].max() <= 1e-12 * target_energy * den[active].max():
-            reconstructed = True
-            break
-        ratio = np.where(active, num / np.where(den > 0, den, 1.0), -np.inf)
-        pick = int(np.argmax(ratio))
-        gains.append(float(num[pick] / den[pick]))
-        selected.append(pick)
     return SelectionResult(
         indices=selected,
         gains=gains,
         exhausted=exhausted,
         target_reconstructed=reconstructed,
     )
+
+
+def naive_greedy_oracle(a: np.ndarray, l: int) -> SelectionResult:
+    """Reference greedy selection: :func:`_naive_oracle` with ``a`` as its own target."""
+    return _naive_oracle(a, None, l)
+
+
+def naive_generalized_oracle(a: np.ndarray, b: np.ndarray, l: int) -> SelectionResult:
+    """Reference generalized selection: :func:`_naive_oracle` with target ``b``."""
+    return _naive_oracle(a, b, l)

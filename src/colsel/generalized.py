@@ -18,8 +18,9 @@ _select_next_generalized = select_next
 def generalized_select(a: np.ndarray, b: np.ndarray, l: int) -> SelectionResult:
     """Select ``l`` columns of ``a`` that best reconstruct the columns of ``b``.
 
-    Stops early (with a flag) once the target is reconstructed to round-off,
-    rather than spending the remaining budget on zero-gain columns.
+    Stops early, with ``target_reconstructed`` set, once no candidate lowers
+    the error by more than 1e-12 of ``||b||_F^2``: ``b`` is reconstructed, or
+    what is left of it lies outside the columns' span.
     """
     _check_budget(l, a.shape[1])
     return _select(a, b, l)

@@ -68,8 +68,8 @@ _GRAM_TOLERANCE = 1e-8
 # 1.9 ms on an 800 x 800 C, 2 cores), and each step reads at most this many.
 _FOLD = 64
 
-# When the best remaining score falls this far below the target's total
-# energy the target is considered fully reconstructed and selection stops.
+# When the best remaining gain falls this far below a separate target's
+# total energy, no candidate lowers its error any more and selection stops.
 EARLY_STOP_TOLERANCE = 1e-12
 
 
@@ -398,8 +398,8 @@ class SelectionResult:
 
 
 def _check_budget(l: int, n: int) -> None:
-    """Reject a budget below 1 or past the ``n`` columns it selects from."""
-    if l < 1 or l > n:
+    """Reject a budget that is no Python or numpy int (a bool is none), below 1 or past ``n``."""
+    if type(l) is bool or not isinstance(l, (int, np.integer)) or l < 1 or l > n:
         raise ValueError(f"budget l must satisfy 1 <= l <= {n}, got {l}")
 
 
@@ -407,7 +407,9 @@ def _select(a: np.ndarray, b: np.ndarray | None, l: int) -> SelectionResult:
     """The selection loop shared by plain and generalized selection.
 
     Stops when the candidates run out, and, only with a separate target,
-    once that target is reconstructed to round-off.  A target that holds
+    once no active gain ``score_num / score_den`` exceeds
+    ``EARLY_STOP_TOLERANCE`` times its energy: the target is reconstructed,
+    or what is left of it lies outside the columns' span.  A target that holds
     the source's values, the same array or a copy, is no separate target:
     it runs as plain greedy, which stops only on exhaustion.  The energy
     test would end it early on badly scaled inputs, returning fewer than
@@ -421,10 +423,10 @@ def _select(a: np.ndarray, b: np.ndarray | None, l: int) -> SelectionResult:
     exhausted = False
     reconstructed = False
     for _ in range(l):
-        if target_energy is not None and np.any(state.active):
-            num_max = float(np.max(state.score_num[state.active]))
-            den_max = float(np.max(state.score_den[state.active]))
-            if num_max <= EARLY_STOP_TOLERANCE * target_energy * den_max:
+        active = state.active
+        if target_energy is not None and active.any():
+            best_gain = np.max(state.score_num[active] / state.score_den[active])
+            if best_gain <= EARLY_STOP_TOLERANCE * target_energy:
                 reconstructed = True
                 break
         try:

@@ -54,3 +54,11 @@ def test_every_selector_rejects_a_budget_past_the_column_count(name):
     message = f"budget l must satisfy 1 <= l <= {n}, got {n + 1}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _SELECTORS[name](n + 1)
+
+
+@pytest.mark.parametrize("budget", [True, 2.5])
+@pytest.mark.parametrize("name", list(_SELECTORS))
+def test_every_selector_rejects_a_budget_that_is_no_integer(name, budget):
+    message = f"budget l must satisfy 1 <= l <= {_A.shape[1]}, got {budget}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _SELECTORS[name](budget)

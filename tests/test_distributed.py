@@ -152,6 +152,17 @@ def test_reduce_rejects_duplicate_globals():
         reduce_phase([res, dup], random_matrix(6, 2, seed=13), l=2)
 
 
+@pytest.mark.parametrize("indices", [[5], [5, 6, 7, 8]])
+def test_reduce_rejects_a_result_whose_width_does_not_match_its_indices(indices):
+    # fewer indices than columns would index past them; more would drop
+    # the extra indices from the union
+    res = PartitionResult(
+        pid=0, global_indices=indices, columns=random_matrix(6, 3, seed=14)
+    )
+    with pytest.raises(ValueError, match="width does not match"):
+        reduce_phase([res], None, l=2)
+
+
 def test_reduce_rejects_an_empty_union():
     with pytest.raises(ValueError, match="at least one"):
         reduce_phase([], None, l=2)

@@ -252,6 +252,18 @@ def test_naive_generalized_oracle_orthogonal_target_stops():
     assert oracle.indices == production.indices == []
 
 
+def test_separate_target_stops_only_when_no_candidate_lowers_its_error():
+    # The best gain, 1e-6 of the target's energy from column 1, is far above
+    # the stop tolerance, although the largest numerator and the largest
+    # denominator of the scores left after [0] belong to different columns.
+    e = np.eye(4)
+    a = as_matrix(np.column_stack([e[:, 0], 1e-4 * e[:, 1], e[:, 2]]))
+    b = as_matrix(np.column_stack([e[:, 0], 1e-3 * e[:, 1]]))
+    for result in (generalized_select(a, b, 3), naive_generalized_oracle(a, b, 3)):
+        assert result.indices == [0, 1]
+        assert result.target_reconstructed
+
+
 def test_naive_generalized_oracle_matches_production():
     for seed in range(5):
         a = random_matrix(12, 14, seed=seed + 900)
