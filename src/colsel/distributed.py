@@ -23,7 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .greedy import SelectionResult, _check_budget, _select
-from .linalg import _projection_errors, check_column_set
+from .linalg import _is_int_type, _projection_errors, check_column_set
 from .sketch import SketchSpec, sketch_partitioned
 
 
@@ -71,7 +71,7 @@ def partition_columns(a: np.ndarray, c: int) -> list[Partition]:
     layouts can be built as :class:`Partition` objects by hand.
     """
     n = a.shape[1]
-    if c < 1 or c > n:
+    if not _is_int_type(type(c)) or c < 1 or c > n:
         raise ValueError(f"cannot split {n} columns into {c} partitions")
     parts = []
     base, extra = divmod(n, c)
@@ -168,7 +168,7 @@ def distributed_select(
     """
     if config.sketch is None:
         raise ValueError("distributed selection requires a sketch spec")
-    if threads is not None and threads < 1:
+    if threads is not None and (not _is_int_type(type(threads)) or threads < 1):
         raise ValueError(f"thread count must be >= 1, got {threads}")
     _check_budget(config.budget, a.shape[1])
     t0 = time.perf_counter()

@@ -15,19 +15,21 @@ checked against an independent route.  It is guarded to test-scale inputs.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .generalized import generalized_select
 from .greedy import SelectionResult, _check_budget, greedy_select
 from .linalg import (
+    _is_int_type,
     _projection_errors,
     check_column_set,
     column_norms_sq,
     frobenius_sq,
     randomized_svd,
 )
-from .seeds import derive_seed
+from .seeds import _MASK64, derive_seed
 
 # Up to this size the best-rank error comes from a dense SVD; beyond it,
 # from the eigenvalues of the smaller Gram matrix.
@@ -73,9 +75,9 @@ def best_rank_error(a: np.ndarray, rank: int, seed: int = 0) -> float:
 
 
 def uniform_select(n: int, l: int, seed: int) -> list[int]:
-    """Uniform sample of ``l`` distinct column indices."""
+    """Uniform sample of ``l`` distinct column indices, seeded by ``seed`` modulo 2**64."""
     _check_budget(l, n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(operator.index(seed) & _MASK64)
     return [int(i) for i in rng.choice(n, size=l, replace=False)]
 
 
@@ -92,12 +94,12 @@ def evaluate_selection(
     cols = check_column_set(indices, a.shape[1])
     if not cols:
         raise ValueError("selection must contain at least one column")
-    if uniform_trials < 1:
+    if not _is_int_type(type(uniform_trials)) or uniform_trials < 1:
         raise ValueError("uniform_trials must be >= 1")
     energy = frobenius_sq(a)
     error = _projection_errors(a, cols, [a], [energy])[0]
     n, l = a.shape[1], len(cols)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(operator.index(seed) & _MASK64)
     uniform_errors = []
     for _ in range(uniform_trials):
         subset = [int(i) for i in rng.choice(n, size=l, replace=False)]

@@ -19,8 +19,9 @@ def generalized_select(a: np.ndarray, b: np.ndarray, l: int) -> SelectionResult:
     """Select ``l`` columns of ``a`` that best reconstruct the columns of ``b``.
 
     Stops early, with ``target_reconstructed`` set, once no candidate lowers
-    the error by more than 1e-12 of ``||b||_F^2``: ``b`` is reconstructed, or
-    what is left of it lies outside the columns' span.
+    the error by more than 1e-12 of ``||b||_F^2``, where :func:`select_next`
+    on ``b`` raises ``ExhaustedError``: ``b`` is reconstructed, or what is
+    left of it lies outside the columns' span.
     """
     _check_budget(l, a.shape[1])
     return _select(a, b, l)

@@ -45,12 +45,13 @@ orthogonal to rounding ("twice is enough": Giraud, Langou & Rozložník,
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .linalg import RANK_TOLERANCE, column_norms_sq, frobenius_sq
+from .linalg import RANK_TOLERANCE, _is_int_type, column_norms_sq, frobenius_sq
 
 # Row block height of the fold and of the Gram-form initial scores, and
 # column block width of their direct-form redo.
@@ -74,7 +75,7 @@ EARLY_STOP_TOLERANCE = 1e-12
 
 
 class ExhaustedError(RuntimeError):
-    """No selectable candidate columns remain."""
+    """No active candidate column is left that lowers the error."""
 
 
 @dataclass
@@ -86,9 +87,8 @@ class SelectionState:
     ``gram`` is set, by the form the initial scores took; their cost rule
     forms ``C = B^T A`` (``A^T A`` for plain greedy) only when its c n
     entries number at most m (c + n), as many as A and B hold together, and
-    ``G = B B^T`` otherwise, which then holds m^2 floats, under half of A.
-    The rule compares entry counts, not flops: C costs 2mnc flops, and G
-    costs m^2 c plus about m^2 n for the scores.
+    ``G = B B^T`` otherwise, which then holds m^2 floats, under half of A
+    (see :func:`_cross_norms_sq` for their flops).
 
     With ``bta``, each pick leaves one n-wide factor row; the outer
     products of these rows sum to the explained part of the residual
@@ -109,7 +109,8 @@ class SelectionState:
     makes two passes over A and costs O(m^2 + m k) flops besides.
 
     The factors and the basis are views of row buffers that double when
-    full.
+    full.  A pick must gain more than ``min_gain``: ``EARLY_STOP_TOLERANCE``
+    times a separate target's energy, and ``-inf`` without one.
     """
 
     score_num: np.ndarray
@@ -121,6 +122,7 @@ class SelectionState:
     gram_buffer: np.ndarray
     cross_buffer: np.ndarray | None
     basis_buffer: np.ndarray
+    min_gain: float
     stacked: int = 0
     selected: list[int] = field(default_factory=list)
     gains: list[float] = field(default_factory=list)
@@ -213,6 +215,7 @@ def init_state(a: np.ndarray, b: np.ndarray | None = None) -> SelectionState:
         gram_buffer=np.empty((0, a.shape[1])),
         cross_buffer=None if b is None else np.empty((0, b.shape[1])),
         basis_buffer=np.empty((0, a.shape[0])),
+        min_gain=-np.inf if b is None else EARLY_STOP_TOLERANCE * frobenius_sq(b),
     )
 
 
@@ -233,15 +236,15 @@ def _pick(
 
     ``pivot_of(p)`` returns candidate ``p``'s squared residual norm against
     the current selection and the vector it came from; both are returned
-    with ``p``.  This is the one place that decides a selection has run out:
-    with no active candidate left, or none to begin with, it raises
-    :class:`ExhaustedError`.
+    with ``p``.  This is the one place that decides a selection ends: it
+    raises :class:`ExhaustedError` once no active candidate's gain exceeds
+    ``state.min_gain``, which also covers none being active.
     """
     # Inactive candidates may divide by zero; their ratios are masked out.
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = state.score_num / state.score_den
     np.putmask(ratio, ~state.active, -np.inf)
-    while state.active.any():
+    while ratio.max(initial=-np.inf) > state.min_gain:
         p = int(ratio.argmax())
         pivot, vec = pivot_of(p)
         if pivot > RANK_TOLERANCE * state.den_init[p]:
@@ -251,7 +254,7 @@ def _pick(
         # but the column is numerically dependent on the current selection.
         state.active[p] = False
         ratio[p] = -np.inf
-    raise ExhaustedError("no active candidate columns remain")
+    raise ExhaustedError("no active candidate column lowers the error")
 
 
 def _update_scores(state: SelectionState, w: np.ndarray, corr: np.ndarray, vv: float) -> None:
@@ -366,12 +369,12 @@ def select_next(state: SelectionState, a: np.ndarray, b: np.ndarray | None = Non
     ``b`` must be the target the state was initialized with, if any.
     Returns the selected column index.  Ties are broken toward the
     smallest index (argmax returns the first maximum).  A candidate whose
-    recomputed pivot turns out to be negligible is deactivated and the
-    next best one is taken; :class:`ExhaustedError` is raised once no
-    active candidate remains.  The pick that brings the count to the
-    number of rows of ``a`` deactivates every candidate: m independent
-    picks span every column, and rounding in the score recursion could
-    otherwise let one more through.
+    recomputed pivot is negligible is deactivated and the next best one is
+    taken.  :class:`ExhaustedError` is raised once no active gain exceeds
+    ``state.min_gain``, where :func:`generalized_select` stops too.  The
+    pick that brings the count to the number of rows of ``a`` deactivates
+    every candidate: m independent picks span every column, and rounding
+    in the score recursion could otherwise let one more through.
     """
     if (b is None) != (state.cross_buffer is None):
         raise ValueError("select_next needs the same target that init_state was given")
@@ -399,46 +402,34 @@ class SelectionResult:
 
 def _check_budget(l: int, n: int) -> None:
     """Reject a budget that is no Python or numpy int (a bool is none), below 1 or past ``n``."""
-    if type(l) is bool or not isinstance(l, (int, np.integer)) or l < 1 or l > n:
+    if not _is_int_type(type(l)) or l < 1 or l > n:
         raise ValueError(f"budget l must satisfy 1 <= l <= {n}, got {l}")
 
 
 def _select(a: np.ndarray, b: np.ndarray | None, l: int) -> SelectionResult:
     """The selection loop shared by plain and generalized selection.
 
-    Stops when the candidates run out, and, only with a separate target,
-    once no active gain ``score_num / score_den`` exceeds
-    ``EARLY_STOP_TOLERANCE`` times its energy: the target is reconstructed,
-    or what is left of it lies outside the columns' span.  A target that holds
-    the source's values, the same array or a copy, is no separate target:
-    it runs as plain greedy, which stops only on exhaustion.  The energy
-    test would end it early on badly scaled inputs, returning fewer than
-    ``l`` picks.  This is the one place that decides it.  The loop trusts
-    ``l``: each public selector checks it, and a large one ends in exhaustion.
+    Steps until ``l`` picks or until :func:`_pick` ends the selection.
+    Fewer picks with active candidates left mean a separate target that is
+    reconstructed, or whose rest lies outside the columns' span; with none
+    left, exhaustion.  A target that holds the source's values, the same
+    array or a copy, is no separate target: it runs as plain greedy, whose
+    ``min_gain`` of ``-inf`` cannot end it early on badly scaled inputs.
+    The loop trusts ``l``: each public selector checks it.
     """
     if b is not None and np.array_equal(b, a):
         b = None
     state = init_state(a, b)
-    target_energy = None if b is None else frobenius_sq(b)
-    exhausted = False
-    reconstructed = False
-    for _ in range(l):
-        active = state.active
-        if target_energy is not None and active.any():
-            best_gain = np.max(state.score_num[active] / state.score_den[active])
-            if best_gain <= EARLY_STOP_TOLERANCE * target_energy:
-                reconstructed = True
-                break
-        try:
+    with suppress(ExhaustedError):
+        for _ in range(l):
             select_next(state, a, b)
-        except ExhaustedError:
-            exhausted = True
-            break
+    ended = len(state.selected) < l
+    left = bool(state.active.any())
     return SelectionResult(
         indices=list(state.selected),
         gains=list(state.gains),
-        exhausted=exhausted,
-        target_reconstructed=reconstructed,
+        exhausted=ended and not left,
+        target_reconstructed=ended and left,
     )
 
 

@@ -59,6 +59,11 @@ def as_matrix(values) -> np.ndarray:
     return np.asfortranarray(a)
 
 
+def _is_int_type(t: type) -> bool:
+    """The type rule of counts and indices: a Python or numpy int, but no bool."""
+    return t is not bool and issubclass(t, (int, np.integer))
+
+
 def check_column_set(columns: Sequence[int], n_cols: int) -> list[int]:
     """Validate global column indices as Python ints: integers, distinct, in ``[0, n_cols)``.
 
@@ -74,7 +79,7 @@ def check_column_set(columns: Sequence[int], n_cols: int) -> list[int]:
     else:
         columns = list(columns)
         types = set(map(type, columns))
-        strays = {t for t in types if t is bool or not issubclass(t, (int, np.integer))}
+        strays = {t for t in types if not _is_int_type(t)}
         if strays:
             bad = next(i for i in columns if type(i) in strays)
             raise ValueError(f"column indices must be integers, got {bad!r}")
@@ -185,7 +190,7 @@ def randomized_svd(a: np.ndarray, k: int, seed: int = 0) -> SvdResult:
     error from an exact decomposition.
     """
     m, n = a.shape
-    if k < 1 or k > min(m, n):
+    if not _is_int_type(type(k)) or k < 1 or k > min(m, n):
         raise ValueError(f"rank k must satisfy 1 <= k <= {min(m, n)}, got {k}")
     rng = np.random.default_rng(seed)
     width = min(k + _OVERSAMPLE, min(m, n))

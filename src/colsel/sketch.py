@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import check_column_set
+from .linalg import _is_int_type, check_column_set
 from .seeds import as_uint64, column_seed, column_seeds, counter_words
 
 KINDS = ("gaussian", "sign", "sparse-sign", "identity")
@@ -53,7 +53,7 @@ class SketchSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown sketch kind {self.kind!r}, expected one of {KINDS}")
-        if self.r < 1:
+        if not _is_int_type(type(self.r)) or self.r < 1:
             raise ValueError(f"sketch dimension must be >= 1, got {self.r}")
 
 

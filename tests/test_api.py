@@ -62,3 +62,36 @@ def test_every_selector_rejects_a_budget_that_is_no_integer(name, budget):
     message = f"budget l must satisfy 1 <= l <= {_A.shape[1]}, got {budget}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _SELECTORS[name](budget)
+
+
+# Every other count parameter: a call that passes value v to it, and the
+# message of that parameter's own check.
+_COUNTS = {
+    "DistributedConfig.partitions": (
+        lambda v: colsel.distributed_select(_A, colsel.DistributedConfig(v, 3, _SPEC)),
+        "cannot split 9 columns into {} partitions"),
+    "naive_distributed_baseline partitions": (
+        lambda v: colsel.naive_distributed_baseline(_A, colsel.DistributedConfig(v, 3, None)),
+        "cannot split 9 columns into {} partitions"),
+    "SketchSpec.r": (lambda v: colsel.SketchSpec("gaussian", v),
+                     "sketch dimension must be >= 1, got {}"),
+    "randomized_svd k": (lambda v: colsel.randomized_svd(_A, v),
+                         "rank k must satisfy 1 <= k <= 9, got {}"),
+    "sketch_svd_select k": (lambda v: colsel.sketch_svd_select(_A, 3, v, 0),
+                            "rank k must satisfy 1 <= k <= 9, got {}"),
+    "evaluate_selection uniform_trials": (
+        lambda v: colsel.evaluate_selection(_A, [0, 1], uniform_trials=v),
+        "uniform_trials must be >= 1"),
+    "distributed_select threads": (
+        lambda v: colsel.distributed_select(_A, colsel.DistributedConfig(2, 3, _SPEC), threads=v),
+        "thread count must be >= 1, got {}"),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5])
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_every_count_rejects_a_value_that_is_no_integer(name, value):
+    # the budget's rule: Python would run True as 1 and fail on 2.5 in range()
+    call, message = _COUNTS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(value))}$"):
+        call(value)

@@ -590,3 +590,15 @@ def test_eval_of_a_zero_matrix_exits_3(cli_files, capsys):
     assert out == ""
     assert err.startswith("colsel: error: ")
     assert "the relative metric is undefined" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--indices", "{idx}"],
+    ["baseline", "uniform", "--l", "3"],
+], ids=["eval", "baseline uniform"])
+def test_a_negative_seed_draws_as_its_value_modulo_2_64(cli_files, capsys, argv):
+    # as sketch, select-dist and the other baselines do through derive_seed
+    argv = [arg.format(**cli_files) for arg in argv] + ["--input", cli_files["a"]]
+    code, out, err = run_cli(capsys, [*argv, "--seed", "-1"])
+    assert code == 0, err
+    assert run_cli(capsys, [*argv, "--seed", str(2**64 - 1)]) == (0, out, "")

@@ -255,6 +255,20 @@ def test_generalized_score_consistency_and_telescoping(seed):
         error = new_error
 
 
+def test_step_api_stops_where_generalized_select_stops():
+    # Column 0 reconstructs the target, and columns 1 and 2 gain nothing: the
+    # second step ends the selection instead of taking a zero gain.
+    a = as_matrix(np.eye(4)[:, :3])
+    b = as_matrix(np.eye(4)[:, :1])
+    state = init_state(a, b)
+    assert select_next(state, a, b) == 0
+    with pytest.raises(ExhaustedError):
+        select_next(state, a, b)
+    res = generalized_select(a, b, 3)
+    assert res.target_reconstructed
+    assert (state.selected, state.gains) == (res.indices, res.gains) == ([0], [1.0])
+
+
 def test_early_stop_when_target_inside_small_span():
     # target lies in the span of two source columns; remaining budget unused
     rng = np.random.default_rng(5)
