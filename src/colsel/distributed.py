@@ -195,7 +195,7 @@ def distributed_select(
             "sketch": t_sketch - t0,
             "map": t_map - t_sketch,
             "reduce": t_reduce - t_map,
-            "total": t_reduce - t0,
+            "total": time.perf_counter() - t0,
         },
     )
 

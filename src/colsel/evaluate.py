@@ -15,13 +15,13 @@ checked against an independent route.  It is guarded to test-scale inputs.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
 from .generalized import generalized_select
 from .greedy import SelectionResult, _check_budget, greedy_select
 from .linalg import (
+    _as_seed,
     _is_int_type,
     _projection_errors,
     check_column_set,
@@ -29,7 +29,7 @@ from .linalg import (
     frobenius_sq,
     randomized_svd,
 )
-from .seeds import _MASK64, derive_seed
+from .seeds import derive_seed
 
 # Up to this size the best-rank error comes from a dense SVD; beyond it,
 # from the eigenvalues of the smaller Gram matrix.
@@ -77,7 +77,7 @@ def best_rank_error(a: np.ndarray, rank: int, seed: int = 0) -> float:
 def uniform_select(n: int, l: int, seed: int) -> list[int]:
     """Uniform sample of ``l`` distinct column indices, seeded by ``seed`` modulo 2**64."""
     _check_budget(l, n)
-    rng = np.random.default_rng(operator.index(seed) & _MASK64)
+    rng = np.random.default_rng(_as_seed(seed))
     return [int(i) for i in rng.choice(n, size=l, replace=False)]
 
 
@@ -99,7 +99,7 @@ def evaluate_selection(
     energy = frobenius_sq(a)
     error = _projection_errors(a, cols, [a], [energy])[0]
     n, l = a.shape[1], len(cols)
-    rng = np.random.default_rng(operator.index(seed) & _MASK64)
+    rng = np.random.default_rng(_as_seed(seed))
     uniform_errors = []
     for _ in range(uniform_trials):
         subset = [int(i) for i in rng.choice(n, size=l, replace=False)]

@@ -41,6 +41,8 @@ _ENERGY_TOLERANCE = 1e-11
 _OVERSAMPLE = 10
 _POWER_ITERS = 2
 
+_MASK64 = (1 << 64) - 1
+
 
 def as_matrix(values) -> np.ndarray:
     """Validate and convert input to a float64, column-major 2-D array.
@@ -62,6 +64,13 @@ def as_matrix(values) -> np.ndarray:
 def _is_int_type(t: type) -> bool:
     """The type rule of counts and indices: a Python or numpy int, but no bool."""
     return t is not bool and issubclass(t, (int, np.integer))
+
+
+def _as_seed(seed) -> int:
+    """The seed rule: an integer by the type rule of counts, as a Python int modulo 2**64."""
+    if not _is_int_type(type(seed)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed) & _MASK64
 
 
 def check_column_set(columns: Sequence[int], n_cols: int) -> list[int]:
@@ -185,14 +194,14 @@ class SvdResult:
 def randomized_svd(a: np.ndarray, k: int, seed: int = 0) -> SvdResult:
     """Randomized truncated SVD (range finder with power iterations).
 
-    Deterministic for a fixed seed.  Used by the ``hybrid-svd`` and
-    ``sketch-svd`` baselines; the evaluation metric takes its best-rank
-    error from an exact decomposition.
+    Deterministic for a fixed seed, which passes :func:`_as_seed`.  Used
+    by the ``hybrid-svd`` and ``sketch-svd`` baselines; the evaluation
+    metric takes its best-rank error from an exact decomposition.
     """
     m, n = a.shape
     if not _is_int_type(type(k)) or k < 1 or k > min(m, n):
         raise ValueError(f"rank k must satisfy 1 <= k <= {min(m, n)}, got {k}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
     width = min(k + _OVERSAMPLE, min(m, n))
     probe = rng.standard_normal((n, width))
     q, _ = np.linalg.qr(a @ probe)

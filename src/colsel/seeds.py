@@ -3,10 +3,11 @@
 A single master seed drives every stochastic component.  Sub-seeds are
 derived with the splitmix64 finalizer so that any consumer (a sketch row,
 an evaluation trial, a nested SVD) can regenerate its stream from the
-master seed and a stable label, independent of call order.  The same
-finalizer, vectorized over uint64 arrays, is the counter-based generator
-of the sketch rows (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC 2011).
+master seed and a stable label, independent of call order.  Every seed
+passes one rule, ``linalg._as_seed``: a Python or numpy int, but no bool,
+taken modulo 2**64.  The same finalizer, vectorized over uint64 arrays, is
+the counter-based generator of the sketch rows (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .linalg import _MASK64, _as_seed
+
 _GOLDEN = 0x9E3779B97F4A7C15
 # splitmix64 finalizer: xor-shift, multiply, xor-shift, multiply, xor-shift
 _S1, _M1, _S2, _M2, _S3 = 30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31
@@ -57,18 +59,16 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _encode(part) -> int:
-    if isinstance(part, str):
-        digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
-    return int(part) & _MASK64
-
-
 def derive_seed(master: int, *parts) -> int:
-    """Mix a master seed with integer or string labels into a new 64-bit seed."""
-    state = _mix64((master & _MASK64) ^ _GOLDEN)
+    """Mix a master seed with integer or string labels into a new 64-bit seed.
+
+    A string label is hashed; the master and every other label pass the seed rule.
+    """
+    state = _mix64(_as_seed(master) ^ _GOLDEN)
     for part in parts:
-        state = _mix64((state + _GOLDEN) ^ _encode(part))
+        if isinstance(part, str):
+            part = int.from_bytes(hashlib.blake2b(part.encode(), digest_size=8).digest(), "little")
+        state = _mix64((state + _GOLDEN) ^ _as_seed(part))
     return state
 
 
@@ -78,13 +78,13 @@ def column_seed(master: int, index: int) -> int:
     Depends only on (master, index), so the same row can be regenerated on
     any partition or thread without materializing the projection matrix.
     """
-    return _mix64((master + (index + 1) * _GOLDEN) & _MASK64)
+    return _mix64(_as_seed(master) + (index + 1) * _GOLDEN)
 
 
 def column_seeds(master: int, indices: np.ndarray) -> np.ndarray:
     """:func:`column_seed` of every index in a nonnegative integer array."""
     offsets = (indices.astype(np.uint64) + _U_ONE) * _U_GOLDEN
-    return mix64_array(as_uint64(master & _MASK64) + offsets)
+    return mix64_array(as_uint64(_as_seed(master)) + offsets)
 
 
 def counter_words(keys, count: int) -> np.ndarray:

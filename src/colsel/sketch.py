@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import _is_int_type, check_column_set
+from .linalg import _as_seed, _is_int_type, check_column_set
 from .seeds import as_uint64, column_seed, column_seeds, counter_words
 
 KINDS = ("gaussian", "sign", "sparse-sign", "identity")
@@ -44,7 +44,7 @@ _BLOCK = 128
 
 @dataclass(frozen=True)
 class SketchSpec:
-    """Sketch family, target dimension and master seed."""
+    """Sketch family, dimension (count rule) and master seed (seed rule), checked when built."""
 
     kind: str
     r: int
@@ -55,6 +55,7 @@ class SketchSpec:
             raise ValueError(f"unknown sketch kind {self.kind!r}, expected one of {KINDS}")
         if not _is_int_type(type(self.r)) or self.r < 1:
             raise ValueError(f"sketch dimension must be >= 1, got {self.r}")
+        _as_seed(self.seed)
 
 
 # operands as 0-d arrays, for the reasons given at seeds.as_uint64

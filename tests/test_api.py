@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -95,3 +96,54 @@ def test_every_count_rejects_a_value_that_is_no_integer(name, value):
     call, message = _COUNTS[name]
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(value))}$"):
         call(value)
+
+
+# Every seeded call: a call that passes seed s to it.  SketchSpec is reached
+# through each public name that draws its rows.
+_SEEDS = {
+    "derive_seed master": lambda s: colsel.derive_seed(s, "x"),
+    "derive_seed label": lambda s: colsel.derive_seed(1, s),
+    "SketchSpec sketch_matrix":
+        lambda s: colsel.sketch_matrix(_A, colsel.SketchSpec("gaussian", 4, seed=s)),
+    "SketchSpec sketch_row": lambda s: colsel.sketch_row(colsel.SketchSpec("sign", 4, seed=s), 3),
+    "SketchSpec distributed_select": lambda s: colsel.distributed_select(
+        _A, colsel.DistributedConfig(2, 3, colsel.SketchSpec("sparse-sign", 4, seed=s))),
+    "uniform_select": lambda s: colsel.uniform_select(_A.shape[1], 3, s),
+    "evaluate_selection": lambda s: colsel.evaluate_selection(_A, [0, 1], 2, seed=s),
+    "hybrid_select": lambda s: colsel.hybrid_select(_A, 3, "svd-rows", s),
+    "sketch_svd_select": lambda s: colsel.sketch_svd_select(_A, 3, 2, s),
+    "randomized_svd": lambda s: colsel.randomized_svd(_A, 3, s),
+}
+
+
+def _bits(value):
+    """``value`` as nested tuples of raw bytes, without a report's timings."""
+    if dataclasses.is_dataclass(value):
+        return _bits([v for k, v in vars(value).items() if k != "timings"])
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_bits, value))
+    value = np.asarray(value)
+    return value.dtype.str, value.shape, value.tobytes()
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(np.int64(5), id="int64(5)"),
+    pytest.param(np.uint64(5), id="uint64(5)"),
+    pytest.param(-1, id="-1"),
+    pytest.param(2**64 + 5, id="2**64+5"),
+])
+@pytest.mark.parametrize("name", list(_SEEDS))
+def test_every_seed_is_taken_modulo_2_64(name, seed):
+    call = _SEEDS[name]
+    assert _bits(call(seed)) == _bits(call(int(seed) % 2**64))
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name in _SEEDS for value in (True, 2.5, None, "5")
+    # a string label is hashed, not read as a seed
+    if (name, value) != ("derive_seed label", "5")
+])
+def test_every_seeded_call_rejects_a_seed_that_is_no_integer(name, value):
+    message = f"seed must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _SEEDS[name](value)

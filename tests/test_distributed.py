@@ -1,8 +1,10 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import colsel
 from colsel import (
     DistributedConfig,
     SketchSpec,
@@ -273,6 +275,19 @@ def test_distributed_report_accounting():
     assert report.exact_error == pytest.approx(
         reconstruction_error(a, report.selected), rel=1e-12
     )
+
+
+def test_report_total_covers_the_projection_errors(monkeypatch):
+    errors = colsel.distributed._projection_errors
+
+    def slow_errors(*args):
+        time.sleep(0.05)
+        return errors(*args)
+
+    monkeypatch.setattr(colsel.distributed, "_projection_errors", slow_errors)
+    report = distributed_select(random_matrix(12, 16, seed=62), gaussian_config(2, 4, 6, 0))
+    timings = report.timings
+    assert timings["total"] >= 0.05 + timings["sketch"] + timings["map"] + timings["reduce"]
 
 
 def test_config_validation():
