@@ -6,6 +6,10 @@ to allocate).  All indices are 0-based.
 In each subcommand with a stochastic component (sketch, select-dist,
 baseline, eval) a single ``--seed`` drives all of them; sub-seeds are
 derived from it deterministically.
+
+Public names are called through the package (``colsel.greedy_select``),
+whose ``_EXPORTS`` table imports a submodule on first use, so each
+subcommand imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -15,23 +19,20 @@ import json
 import sys
 import time
 
-from . import evaluate
-from .distributed import DistributedConfig, distributed_select, naive_distributed_baseline
-from .generalized import generalized_select
-from .greedy import greedy_select
+import colsel
+
 from .linalg import _projection_errors, reconstruction_error
 from .matrixio import FORMATS, _write_csv, load_matrix, save_matrix
-from .seeds import derive_seed
-from .sketch import KINDS, SketchSpec, sketch_matrix
+from .sketch import KINDS, SketchSpec
 
 _BASELINES = {
-    "uniform": lambda a, args: evaluate.uniform_select(a.shape[1], args.l, args.seed),
-    "hybrid-uni": lambda a, args: evaluate.hybrid_select(a, args.l, "uniform", args.seed),
-    "hybrid-col": lambda a, args: evaluate.hybrid_select(a, args.l, "column-norm", args.seed),
-    "hybrid-svd": lambda a, args: evaluate.hybrid_select(a, args.l, "svd-rows", args.seed),
-    "sketch-svd": lambda a, args: evaluate.sketch_svd_select(a, args.l, args.r, args.seed),
-    "naive-dist": lambda a, args: naive_distributed_baseline(
-        a, DistributedConfig(partitions=args.partitions, budget=args.l, sketch=None)),
+    "uniform": lambda a, args: colsel.uniform_select(a.shape[1], args.l, args.seed),
+    "hybrid-uni": lambda a, args: colsel.hybrid_select(a, args.l, "uniform", args.seed),
+    "hybrid-col": lambda a, args: colsel.hybrid_select(a, args.l, "column-norm", args.seed),
+    "hybrid-svd": lambda a, args: colsel.hybrid_select(a, args.l, "svd-rows", args.seed),
+    "sketch-svd": lambda a, args: colsel.sketch_svd_select(a, args.l, args.r, args.seed),
+    "naive-dist": lambda a, args: colsel.naive_distributed_baseline(
+        a, colsel.DistributedConfig(partitions=args.partitions, budget=args.l, sketch=None)),
 }
 
 
@@ -102,7 +103,7 @@ def _sketch_spec(args, n: int) -> SketchSpec:
         if kind != "identity":
             raise ValueError(f"--r is required for {kind} sketches")
         r = n
-    return SketchSpec(kind=kind, r=r, seed=derive_seed(args.seed, "sketch"))
+    return SketchSpec(kind=kind, r=r, seed=colsel.derive_seed(args.seed, "sketch"))
 
 
 def _read_indices(path: str | None) -> list[int]:
@@ -132,14 +133,14 @@ def _run(args) -> int:
     timings, lines = {}, None
 
     if args.command == "select":
-        selected = greedy_select(a, args.l).indices
+        selected = colsel.greedy_select(a, args.l).indices
         if args.summary:
             summary = {"method": "greedy", "parameters": {"l": args.l},
                        "f_value": reconstruction_error(a, selected)}
 
     elif args.command == "select-gen":
         b = load_matrix(args.target, args.format)
-        selected = generalized_select(a, b, args.l).indices
+        selected = colsel.generalized_select(a, b, args.l).indices
         if args.summary:
             f_value, fbar_value = _projection_errors(a, selected, [a, b])
             summary = {"method": "generalized", "parameters": {"l": args.l},
@@ -147,7 +148,7 @@ def _run(args) -> int:
 
     elif args.command == "sketch":
         spec = _sketch_spec(args, a.shape[1])
-        b = sketch_matrix(a, spec)
+        b = colsel.sketch_matrix(a, spec)
         # A sketch file takes --format; stdout takes CSV rows.
         if args.output:
             save_matrix(b, args.output, args.format)
@@ -159,8 +160,8 @@ def _run(args) -> int:
 
     elif args.command == "select-dist":
         spec = _sketch_spec(args, a.shape[1])
-        config = DistributedConfig(partitions=args.partitions, budget=args.l, sketch=spec)
-        report = distributed_select(a, config, threads=args.threads)
+        config = colsel.DistributedConfig(partitions=args.partitions, budget=args.l, sketch=spec)
+        report = colsel.distributed_select(a, config, threads=args.threads)
         selected, timings = report.selected, report.timings
         summary = {
             "method": "distributed",
@@ -185,7 +186,7 @@ def _run(args) -> int:
                 f"--l {args.l} does not match the {len(selected)} provided indices"
             )
         started = time.perf_counter()
-        error, accuracy = evaluate.evaluate_selection(
+        error, accuracy = colsel.evaluate_selection(
             a, selected, uniform_trials=args.trials, seed=args.seed
         )
         timings = {"eval": time.perf_counter() - started}

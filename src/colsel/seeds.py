@@ -12,8 +12,6 @@ random numbers: as easy as 1, 2, 3", SC 2011).
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .linalg import _MASK64, _as_seed
@@ -67,6 +65,8 @@ def derive_seed(master: int, *parts) -> int:
     state = _mix64(_as_seed(master) ^ _GOLDEN)
     for part in parts:
         if isinstance(part, str):
+            import hashlib  # deferred: the one place that hashes
+
             part = int.from_bytes(hashlib.blake2b(part.encode(), digest_size=8).digest(), "little")
         state = _mix64((state + _GOLDEN) ^ _as_seed(part))
     return state
@@ -90,8 +90,7 @@ def column_seeds(master: int, indices: np.ndarray) -> np.ndarray:
 def counter_words(keys, count: int) -> np.ndarray:
     """Counter-based stream words ``mix64(key + (j + 1) * GOLDEN)``, j < count.
 
-    ``keys`` is a 0-d uint64 array (one stream, of shape (count,)) or a
-    uint64 array whose last axis has length 1 (one stream per key).
+    ``keys`` is a (g, 1) uint64 column, one stream per key.
     """
     offsets = np.arange(1, count + 1, dtype=np.uint64) * _U_GOLDEN
     return mix64_array(keys + offsets)

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import _as_seed, _is_int_type, check_column_set
-from .seeds import as_uint64, column_seed, column_seeds, counter_words
+from .seeds import as_uint64, column_seeds, counter_words
 
 KINDS = ("gaussian", "sign", "sparse-sign", "identity")
 
@@ -55,7 +55,7 @@ class SketchSpec:
             raise ValueError(f"unknown sketch kind {self.kind!r}, expected one of {KINDS}")
         if not _is_int_type(type(self.r)) or self.r < 1:
             raise ValueError(f"sketch dimension must be >= 1, got {self.r}")
-        _as_seed(self.seed)
+        object.__setattr__(self, "seed", _as_seed(self.seed))
 
 
 # operands as 0-d arrays, for the reasons given at seeds.as_uint64
@@ -70,10 +70,9 @@ _SPARSE_VALUES = np.sqrt(3.0) * np.array([1.0, 0.0, 0.0, 0.0, 0.0, -1.0])
 def _stream_rows(kind: str, r: int, keys) -> np.ndarray:
     """Projection rows of the random kinds from uint64 column keys.
 
-    ``keys`` is one key (a 0-d uint64 array, for one row of shape (r,)) or
-    a (g, 1) column of keys (for g rows).  Row i depends on its key and ``r``
-    alone, and every operation is elementwise, so a row comes out the same
-    alone or in any group.
+    ``keys`` is a (g, 1) column of keys, one per row.  Row i depends on its
+    key and ``r`` alone, and every operation is elementwise, so a row comes
+    out the same alone or in any group.
     """
     if kind == "sign":
         scale = 1.0 / math.sqrt(r)
@@ -110,8 +109,7 @@ def sketch_row(spec: SketchSpec, index: int) -> np.ndarray:
     (index,) = check_column_set([index], r if spec.kind == "identity" else sys.maxsize)
     if spec.kind == "identity":
         return np.eye(1, r, index)[0]
-    # the random kinds take the scalar key: a one-row group costs more
-    return _stream_rows(spec.kind, r, as_uint64(column_seed(spec.seed, index)))
+    return _stream_rows(spec.kind, r, column_seeds(spec.seed, np.array([index]))[:, None])[0]
 
 
 def sketch_matrix(a: np.ndarray, spec: SketchSpec) -> np.ndarray:

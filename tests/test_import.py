@@ -9,6 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import colsel
 
 HEAVY = ["greedy", "generalized", "distributed", "evaluate", "sketch", "seeds", "cli"]
@@ -58,3 +61,28 @@ def test_names_and_submodules_resolve_on_first_use():
         "print('ok')\n"
     )
     assert run_fresh(code) == "ok\n"
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["select", "--l", "2"],
+     {"colsel.distributed", "colsel.evaluate", "colsel.generalized", "hashlib"}),
+    (["select-dist", "--l", "2", "--r", "4", "--partitions", "2"],
+     {"colsel.evaluate", "colsel.generalized"}),
+    (["eval", "--indices", "picks.txt"], {"colsel.distributed"}),
+], ids=["select", "select-dist", "eval"])
+def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, absent):
+    colsel.save_matrix(np.random.default_rng(0).standard_normal((6, 8)), tmp_path / "mat.bin",
+                       "binary")
+    (tmp_path / "picks.txt").write_text("0\n3\n")
+    argv = [str(tmp_path / arg) if arg == "picks.txt" else arg for arg in argv] + [
+        "--input", str(tmp_path / "mat.bin"), "--format", "binary",
+        "--output", str(tmp_path / "out.txt")]
+    code = (
+        "import json, sys\n"
+        "from colsel.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('colsel.') "
+        "or m == 'hashlib')))\n"
+    )
+    loaded = set(json.loads(run_fresh(code, *argv)))
+    assert "colsel.cli" in loaded and not absent & loaded, sorted(loaded)

@@ -64,6 +64,16 @@ def test_spec_validation():
         sketch_row(SketchSpec("gaussian", r=4), -1)
 
 
+def test_specs_that_draw_the_same_rows_are_equal():
+    # A seed is taken modulo 2**64, so these specs draw the same rows.
+    reduced = SketchSpec("gaussian", 4, seed=2**64 - 1)
+    for seed in (-1, np.int64(-1), np.uint64(2**64 - 1)):
+        spec = SketchSpec("gaussian", 4, seed=seed)
+        assert np.array_equal(sketch_row(spec, 3), sketch_row(reduced, 3))
+        assert spec == reduced and hash(spec) == hash(reduced)
+        assert spec.seed == 2**64 - 1 and type(spec.seed) is int
+
+
 @pytest.mark.parametrize("index", [True, 2.5, np.float64(2.0), "3", -1],
                          ids=["bool", "float", "float64", "string", "negative"])
 @pytest.mark.parametrize("kind", ["gaussian", "identity"])
