@@ -11,6 +11,13 @@ __version__ = "0.1.0"
 # The public names, each under the submodule that defines it: the only
 # declaration of the API, since no submodule declares __all__.
 _EXPORTS = {
+    "baselines": (
+        "hybrid_select",
+        "naive_generalized_oracle",
+        "naive_greedy_oracle",
+        "sketch_svd_select",
+        "uniform_select",
+    ),
     "cli": (),
     "distributed": (
         "DistributedConfig",
@@ -23,16 +30,7 @@ _EXPORTS = {
         "partition_columns",
         "reduce_phase",
     ),
-    "evaluate": (
-        "MetricUndefinedError",
-        "evaluate_selection",
-        "hybrid_select",
-        "naive_generalized_oracle",
-        "naive_greedy_oracle",
-        "relative_accuracy",
-        "sketch_svd_select",
-        "uniform_select",
-    ),
+    "evaluate": ("MetricUndefinedError", "evaluate_selection", "relative_accuracy"),
     "generalized": ("generalized_init", "generalized_select"),
     "greedy": (
         "SelectionResult",

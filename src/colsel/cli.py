@@ -195,6 +195,12 @@ def _run(args) -> int:
                    "parameters": {"l": len(selected), "trials": args.trials, "seed": args.seed},
                    "f_value": error, "relative_accuracy": accuracy}
 
+    if args.summary:
+        doc = {**dict.fromkeys(_SUMMARY_KEYS), **summary, "selected": selected,
+               "exhausted": len(selected) < summary["parameters"].get("l", 0),
+               "timings": {**timings, "total": time.perf_counter() - t0}}
+        # An infinite or NaN value is not JSON: it raises here, before the picks are written.
+        summary_text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.command != "sketch":
         text = "".join(line + "\n" for line in lines or map(str, selected))
         if args.output:
@@ -203,12 +209,8 @@ def _run(args) -> int:
         else:
             sys.stdout.write(text)
     if args.summary:
-        doc = {**dict.fromkeys(_SUMMARY_KEYS), **summary, "selected": selected,
-               "exhausted": len(selected) < summary["parameters"].get("l", 0),
-               "timings": {**timings, "total": time.perf_counter() - t0}}
         with open(args.summary, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(summary_text)
     return 0
 
 

@@ -1,15 +1,8 @@
-"""Evaluation metric, sampling baselines, and a brute-force oracle.
+"""The relative-accuracy metric and the best rank-l error it measures against.
 
-The metric takes every projection error from the QR kernel that
-:mod:`colsel.linalg` owns, dependent column sets included: their error is
-the error of their span.  The oracle recomputes every error directly with
-dense ``lstsq`` projections and never calls that kernel.  One definition
-serves plain and generalized selection: each step takes the candidate whose
-addition leaves the smallest error of the target (the source itself for
-plain greedy), and a separate target stops once no candidate lowers that
-error by more than 1e-12 of its energy.  It computes no score, so the
-recursive production paths, their stop rule and the kernel itself are
-checked against an independent route.  It is guarded to test-scale inputs.
+Every projection error comes from the QR kernel of :mod:`colsel.linalg`,
+dependent column sets included: their error is the error of their span.
+No selector is imported here; the baselines are in :mod:`colsel.baselines`.
 """
 
 from __future__ import annotations
@@ -18,39 +11,15 @@ import math
 
 import numpy as np
 
-from .generalized import generalized_select
-from .greedy import SelectionResult, _check_budget, greedy_select
-from .linalg import (
-    _as_seed,
-    _is_int_type,
-    _projection_errors,
-    check_column_set,
-    column_norms_sq,
-    frobenius_sq,
-    randomized_svd,
-)
-from .seeds import derive_seed
+from .linalg import _as_seed, _is_int_type, _projection_errors, check_column_set, frobenius_sq
 
 # Up to this size the best-rank error comes from a dense SVD; beyond it,
 # from the eigenvalues of the smaller Gram matrix.
 EXACT_SVD_LIMIT = 512
 
-ORACLE_SIZE_LIMIT = 64
-
-HYBRID_MODES = ("uniform", "column-norm", "svd-rows")
-
 
 class MetricUndefinedError(ValueError):
     """Uniform sampling is already near-optimal; the relative metric is undefined."""
-
-
-def _residual(a: np.ndarray, cols: list[int], target: np.ndarray) -> np.ndarray:
-    """Residual of ``target`` after least-squares fit on selected columns."""
-    if not cols:
-        return target
-    sub = a[:, cols]
-    coef, *_ = np.linalg.lstsq(sub, target, rcond=None)
-    return target - sub @ coef
 
 
 def best_rank_error(a: np.ndarray, rank: int, seed: int = 0) -> float:
@@ -72,13 +41,6 @@ def best_rank_error(a: np.ndarray, rank: int, seed: int = 0) -> float:
     # ascending, so the tail is the first min(m, n) - rank eigenvalues
     tail = np.linalg.eigvalsh(gram)[: min(m, n) - rank]
     return float(np.sqrt(np.sum(np.maximum(tail, 0.0))))
-
-
-def uniform_select(n: int, l: int, seed: int) -> list[int]:
-    """Uniform sample of ``l`` distinct column indices, seeded by ``seed`` modulo 2**64."""
-    _check_budget(l, n)
-    rng = np.random.default_rng(_as_seed(seed))
-    return [int(i) for i in rng.choice(n, size=l, replace=False)]
 
 
 def evaluate_selection(
@@ -123,128 +85,7 @@ def relative_accuracy(
     Both numerator and denominator use Frobenius norms (not their squares).
     The uniform reference is the mean error over ``uniform_trials`` subsets
     drawn from a single stream seeded by ``seed``, so a one-trial call
-    reproduces :func:`uniform_select` with the same seed.  It is the
-    accuracy that :func:`evaluate_selection` returns.
+    reproduces :func:`colsel.baselines.uniform_select` with the same seed.
+    It is the accuracy that :func:`evaluate_selection` returns.
     """
     return evaluate_selection(a, columns, uniform_trials, seed)[1]
-
-
-def _svd_rank(a: np.ndarray, l: int) -> int:
-    return min(l, *a.shape)
-
-
-def hybrid_select(a: np.ndarray, l: int, probability_mode: str, seed: int) -> list[int]:
-    """Two-phase selection: probabilistic over-sampling, then greedy reduction.
-
-    The randomized phase samples ceil(l*ln(l)) distinct columns (capped at
-    the column count) with the requested probabilities; the deterministic
-    phase runs the greedy selection restricted to the sample.  A zero
-    matrix gives no columns, as greedy does, also in column-norm mode,
-    where it has no sampling mass.
-    """
-    n = a.shape[1]
-    _check_budget(l, n)
-    if l < 2:
-        raise ValueError("hybrid selection needs l >= 2 so the sample can exceed l")
-    if probability_mode not in HYBRID_MODES:
-        raise ValueError(
-            f"unknown probability mode {probability_mode!r}, expected one of {HYBRID_MODES}"
-        )
-    sample_size = min(n, math.ceil(l * math.log(l)))
-    rng = np.random.default_rng(derive_seed(seed, "hybrid-sample"))
-    if probability_mode == "uniform":
-        sampled = rng.choice(n, size=sample_size, replace=False)
-    else:
-        if probability_mode == "column-norm":
-            mass = column_norms_sq(a)
-        else:
-            svd = randomized_svd(a, _svd_rank(a, l), seed=derive_seed(seed, "hybrid-svd"))
-            mass = np.sum(svd.v * svd.v, axis=1)
-        total = float(mass.sum())
-        if total <= 0.0:
-            return []
-        probs = mass / total
-        # sampling without replacement cannot pick zero-probability columns
-        sample_size = min(sample_size, int(np.count_nonzero(probs)))
-        sampled = rng.choice(n, size=sample_size, replace=False, p=probs)
-    sampled = np.sort(sampled)
-    restricted = greedy_select(a[:, sampled], min(l, sampled.size))
-    return [int(sampled[j]) for j in restricted.indices]
-
-
-def sketch_svd_select(a: np.ndarray, l: int, k: int | None, seed: int) -> list[int]:
-    """Select columns that best reconstruct the leading singular directions.
-
-    The target is the rank-``k`` factor U_k scaled by its singular values.
-    The budget is checked first; ``k=None`` takes rank ``l``, capped at the
-    smaller dimension of ``a``, as :func:`hybrid_select` does.
-    """
-    _check_budget(l, a.shape[1])
-    k = _svd_rank(a, l) if k is None else k
-    svd = randomized_svd(a, k, seed=derive_seed(seed, "sketch-svd"))
-    target = svd.u * svd.singular_values
-    return generalized_select(a, target, l).indices
-
-
-def _naive_oracle(a: np.ndarray, b: np.ndarray | None, l: int) -> SelectionResult:
-    """Reference selection by explicit recomputation of every error.
-
-    Each step fits the target (``a`` when ``b`` is None) on the picks plus
-    each active candidate with a dense least-squares solve and takes the
-    candidate with the smallest error; ties within 1e-9 of the current
-    error go to the smallest index.  A column is active while it is
-    unselected and its residual norm squared exceeds 1e-12 of its initial
-    one; the run stops as exhausted when no column is active.  A separate
-    target, one that does not hold ``a``'s values, stops as reconstructed
-    once no candidate lowers its error by more than 1e-12 of its energy.
-    """
-    if max(a.shape) > ORACLE_SIZE_LIMIT:
-        raise ValueError(
-            f"oracle is restricted to matrices with m, n <= {ORACLE_SIZE_LIMIT}"
-        )
-    if b is not None and a.shape[0] != b.shape[0]:
-        raise ValueError("source and target must have the same number of rows")
-    _check_budget(l, a.shape[1])
-    separate = b is not None and not np.array_equal(b, a)
-    target = b if separate else a
-    den_init = np.sum(a * a, axis=0)
-    selected: list[int] = []
-    gains: list[float] = []
-    energy = current = frobenius_sq(target)
-    exhausted = False
-    reconstructed = False
-    for _ in range(l):
-        res = _residual(a, selected, a)
-        active = np.sum(res * res, axis=0) > 1e-12 * den_init
-        active[selected] = False
-        if not active.any():
-            exhausted = True
-            break
-        remaining = [int(i) for i in np.flatnonzero(active)]
-        errors = np.array(
-            [frobenius_sq(_residual(a, selected + [i], target)) for i in remaining]
-        )
-        best = errors.min()
-        if separate and current - best <= 1e-12 * energy:
-            reconstructed = True
-            break
-        pos = next(j for j, err in enumerate(errors) if err <= best + 1e-9 * current)
-        gains.append(current - float(errors[pos]))
-        current = float(errors[pos])
-        selected.append(remaining[pos])
-    return SelectionResult(
-        indices=selected,
-        gains=gains,
-        exhausted=exhausted,
-        target_reconstructed=reconstructed,
-    )
-
-
-def naive_greedy_oracle(a: np.ndarray, l: int) -> SelectionResult:
-    """Reference greedy selection: :func:`_naive_oracle` with ``a`` as its own target."""
-    return _naive_oracle(a, None, l)
-
-
-def naive_generalized_oracle(a: np.ndarray, b: np.ndarray, l: int) -> SelectionResult:
-    """Reference generalized selection: :func:`_naive_oracle` with target ``b``."""
-    return _naive_oracle(a, b, l)

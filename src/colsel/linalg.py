@@ -12,7 +12,7 @@ This module owns the projection error ``||T - P_S T||_F^2`` of a target
 pipeline's errors, the CLI summaries and the relative-accuracy metric all
 take it from :func:`_projection_errors`, which serves several targets from
 one QR of the selection.  The brute-force oracles in
-:mod:`colsel.evaluate` keep their own ``lstsq`` route, so that they stay an
+:mod:`colsel.baselines` keep their own ``lstsq`` route, so that they stay an
 independent check on it.
 """
 

@@ -72,17 +72,8 @@ def derive_seed(master: int, *parts) -> int:
     return state
 
 
-def column_seed(master: int, index: int) -> int:
-    """Seed for the random-projection row of one global column index.
-
-    Depends only on (master, index), so the same row can be regenerated on
-    any partition or thread without materializing the projection matrix.
-    """
-    return _mix64(_as_seed(master) + (index + 1) * _GOLDEN)
-
-
 def column_seeds(master: int, indices: np.ndarray) -> np.ndarray:
-    """:func:`column_seed` of every index in a nonnegative integer array."""
+    """Sketch-row keys ``mix64(master + (i + 1) * GOLDEN)`` of nonnegative column indices i."""
     offsets = (indices.astype(np.uint64) + _U_ONE) * _U_GOLDEN
     return mix64_array(as_uint64(_as_seed(master)) + offsets)
 

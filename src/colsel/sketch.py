@@ -3,11 +3,12 @@
 Each row of the projection matrix is a pure function of (seed, global
 column index), so partial sketches computed on different partitions,
 threads, or machines agree exactly.  The row of column i is drawn from a
-counter-based stream: word j is ``mix64(column_seed(seed, i) + (j+1)*GOLDEN)``
-(splitmix64, see :mod:`colsel.seeds`).  ``sign`` takes entry j's sign from
-the top bit of word j and ``sparse-sign`` its bucket from the top bits; for
-``gaussian`` each word gives a 53-bit uniform in (0, 1] and words k and
-k + ceil(r/2) give entries k and k + ceil(r/2) as one Box-Muller pair.
+counter-based stream keyed by ``key = mix64(seed + (i+1)*GOLDEN)``: word j
+is ``mix64(key + (j+1)*GOLDEN)`` (splitmix64, see :mod:`colsel.seeds`).
+``sign`` takes entry j's sign from the top bit of word j and
+``sparse-sign`` its bucket from the top bits; for ``gaussian`` each word
+gives a 53-bit uniform in (0, 1] and words k and k + ceil(r/2) give
+entries k and k + ceil(r/2) as one Box-Muller pair.
 Rows are bit-identical however they are grouped on one numpy build;
 ``gaussian`` entries may differ in the last ulp across CPUs, where numpy's
 SIMD ``log``/``cos``/``sin`` differ.

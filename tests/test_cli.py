@@ -433,6 +433,19 @@ def test_select_summary_past_the_rank_exits_0(tmp_path, capsys):
     assert json.loads(summary.read_text())["f_value"] <= 1e-12 * np.sum(a * a)
 
 
+def test_a_summary_value_past_the_float_range_exits_3_and_writes_nothing(tmp_path, capsys):
+    # the squared error of any one column of this matrix overflows to inf,
+    # which JSON cannot hold
+    path, summary = tmp_path / "big.csv", tmp_path / "run.json"
+    path.write_text("1e160,2e160,0\n0,1e160,3e160\n")
+    code, out, err = run_cli(capsys, ["baseline", "uniform", "--l", "1", "--input", str(path),
+                                      "--summary", str(summary)])
+    assert code == 3
+    assert out == ""
+    assert "not JSON compliant" in err
+    assert not summary.exists()
+
+
 def test_module_entry_point(tmp_path, eye3_csv):
     # `-m` imports from the working directory: run where this colsel lives.
     proc = subprocess.run(

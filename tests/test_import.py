@@ -68,7 +68,8 @@ def test_names_and_submodules_resolve_on_first_use():
      {"colsel.distributed", "colsel.evaluate", "colsel.generalized", "hashlib"}),
     (["select-dist", "--l", "2", "--r", "4", "--partitions", "2"],
      {"colsel.evaluate", "colsel.generalized"}),
-    (["eval", "--indices", "picks.txt"], {"colsel.distributed"}),
+    (["eval", "--indices", "picks.txt"],
+     {"colsel.distributed", "colsel.greedy", "colsel.generalized"}),
 ], ids=["select", "select-dist", "eval"])
 def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, absent):
     colsel.save_matrix(np.random.default_rng(0).standard_normal((6, 8)), tmp_path / "mat.bin",

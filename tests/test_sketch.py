@@ -18,7 +18,7 @@ from colsel import (
     uniform_select,
 )
 from colsel.distributed import Partition
-from colsel.seeds import _GOLDEN, _mix64, column_seed, column_seeds, mix64_array
+from colsel.seeds import _GOLDEN, _mix64, column_seeds, mix64_array
 from instances import random_matrix
 
 
@@ -32,6 +32,11 @@ def split_contiguous(a, sizes):
         parts.append((a[:, start : start + size], list(range(start, start + size))))
         start += size
     return parts
+
+
+def column_seed(master, index):
+    """Pure-Python row key of one column: _mix64 takes it modulo 2**64."""
+    return _mix64(master + (index + 1) * _GOLDEN)
 
 
 def reference_row(spec, index):
