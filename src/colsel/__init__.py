@@ -2,6 +2,8 @@
 
 Submodules are imported on first use of a name they export (PEP 562), so a
 process that only loads a matrix imports ``matrixio`` and ``linalg`` alone.
+Every random draw derives from one master seed through the splitmix64
+stream of ``sketch``, which exports ``derive_seed``.
 """
 
 import importlib
@@ -47,8 +49,7 @@ _EXPORTS = {
         "reconstruction_error",
     ),
     "matrixio": ("MatrixFormatError", "load_matrix", "save_matrix"),
-    "seeds": ("derive_seed",),
-    "sketch": ("SketchSpec", "sketch_matrix", "sketch_partitioned", "sketch_row"),
+    "sketch": ("SketchSpec", "derive_seed", "sketch_matrix", "sketch_partitioned", "sketch_row"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

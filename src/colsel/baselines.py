@@ -20,7 +20,7 @@ import numpy as np
 from .generalized import generalized_select
 from .greedy import SelectionResult, _check_budget, greedy_select
 from .linalg import _as_seed, column_norms_sq, frobenius_sq, randomized_svd
-from .seeds import derive_seed
+from .sketch import derive_seed
 
 ORACLE_SIZE_LIMIT = 64
 

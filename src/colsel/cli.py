@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -149,11 +150,6 @@ def _run(args) -> int:
     elif args.command == "sketch":
         spec = _sketch_spec(args, a.shape[1])
         b = colsel.sketch_matrix(a, spec)
-        # A sketch file takes --format; stdout takes CSV rows.
-        if args.output:
-            save_matrix(b, args.output, args.format)
-        else:
-            _write_csv(b, sys.stdout)
         selected = []
         summary = {"method": "sketch",
                    "parameters": {"r": spec.r, "sketch": spec.kind, "seed": args.seed}}
@@ -195,22 +191,37 @@ def _run(args) -> int:
                    "parameters": {"l": len(selected), "trials": args.trials, "seed": args.seed},
                    "f_value": error, "relative_accuracy": accuracy}
 
+    summary_file = None
     if args.summary:
         doc = {**dict.fromkeys(_SUMMARY_KEYS), **summary, "selected": selected,
                "exhausted": len(selected) < summary["parameters"].get("l", 0),
                "timings": {**timings, "total": time.perf_counter() - t0}}
-        # An infinite or NaN value is not JSON: it raises here, before the picks are written.
+        # An infinite or NaN value is not JSON, and a summary path may not
+        # open: either raises here, before the picks or the sketch are written.
         summary_text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if args.command != "sketch":
-        text = "".join(line + "\n" for line in lines or map(str, selected))
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+        summary_file = open(args.summary, "w", encoding="utf-8")
+    try:
+        if args.command == "sketch":
+            # A sketch file takes --format; stdout takes CSV rows.
+            if args.output:
+                save_matrix(b, args.output, args.format)
+            else:
+                _write_csv(b, sys.stdout)
         else:
-            sys.stdout.write(text)
-    if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as handle:
-            handle.write(summary_text)
+            text = "".join(line + "\n" for line in lines or map(str, selected))
+            if args.output:
+                with open(args.output, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            else:
+                sys.stdout.write(text)
+    except BaseException:
+        if summary_file:  # a failed write of the result leaves no summary
+            summary_file.close()
+            os.remove(args.summary)
+        raise
+    if summary_file:
+        with summary_file:
+            summary_file.write(summary_text)
     return 0
 
 

@@ -188,8 +188,7 @@ def _cross_norms_sq(
     redo = np.flatnonzero(bound > _GRAM_TOLERANCE * out)
     for start in range(0, redo.size, _BLOCK):
         idx = redo[start:start + _BLOCK]
-        prod = b.T @ a[:, idx]
-        out[idx] = np.sum(prod * prod, axis=0)
+        out[idx] = column_norms_sq(b.T @ a[:, idx])
     return out, None, gram
 
 

@@ -1,10 +1,19 @@
-"""Random-projection sketching with per-column reproducible randomness.
+"""Random-projection sketching and the counter-based stream behind every seed.
+
+One master seed drives every stochastic component through one splitmix64
+stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011), with ``mix64`` its finalizer and GOLDEN 0x9E3779B97F4A7C15.
+:func:`derive_seed` mixes a master seed with stable labels into a
+sub-seed, so that any consumer (an evaluation trial, a nested SVD, the
+sketch) regenerates its stream independent of call order.  Every seed
+passes one rule, ``linalg._as_seed``: a Python or numpy int, but no bool,
+taken modulo 2**64.
 
 Each row of the projection matrix is a pure function of (seed, global
 column index), so partial sketches computed on different partitions,
-threads, or machines agree exactly.  The row of column i is drawn from a
-counter-based stream keyed by ``key = mix64(seed + (i+1)*GOLDEN)``: word j
-is ``mix64(key + (j+1)*GOLDEN)`` (splitmix64, see :mod:`colsel.seeds`).
+threads, or machines agree exactly.  The row of column i is keyed by
+``key = mix64(seed + (i+1)*GOLDEN)``, and its word j is
+``mix64(key + (j+1)*GOLDEN)``.
 ``sign`` takes entry j's sign from the top bit of word j and
 ``sparse-sign`` its bucket from the top bits; for ``gaussian`` each word
 gives a 53-bit uniform in (0, 1] and words k and k + ceil(r/2) give
@@ -34,7 +43,6 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import _as_seed, _is_int_type, check_column_set
-from .seeds import as_uint64, column_seeds, counter_words
 
 KINDS = ("gaussian", "sign", "sparse-sign", "identity")
 
@@ -59,9 +67,67 @@ class SketchSpec:
         object.__setattr__(self, "seed", _as_seed(self.seed))
 
 
-# operands as 0-d arrays, for the reasons given at seeds.as_uint64
+def as_uint64(value: int) -> np.ndarray:
+    """``value`` as a 0-d uint64 array, the operand form of uint64 arithmetic.
+
+    Explicitly uint64, because numpy 1.x promotes uint64 combined with a
+    Python int scalar to float64; and a 0-d array, because a binary op with
+    a numpy scalar pays a scalar conversion on every call.
+    """
+    return np.array(value, dtype=np.uint64)
+
+
+# splitmix64 finalizer: xor-shift, multiply, xor-shift, multiply, xor-shift
+_S1, _M1, _S2, _M2, _S3 = map(as_uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
+_GOLDEN = as_uint64(0x9E3779B97F4A7C15)
 _U1, _U6, _U11, _U53 = map(as_uint64, (1, 6, 11, 53))
 _SIGN_BIT = as_uint64(1 << 63)
+
+
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of every element of a uint64 array, as a new array.
+
+    uint64 array arithmetic wraps modulo 2**64 without a warning; numpy
+    scalar arithmetic may warn instead, so a lone value is a 1-element array.
+    """
+    z = z ^ (z >> _S1)
+    z *= _M1
+    z ^= z >> _S2
+    z *= _M2
+    z ^= z >> _S3
+    return z
+
+
+def derive_seed(master: int, *parts) -> int:
+    """Mix a master seed with integer or string labels into a new 64-bit seed.
+
+    A string label is hashed; the master and every other label pass the seed rule.
+    """
+    state = mix64_array(np.array([_as_seed(master)], dtype=np.uint64) ^ _GOLDEN)
+    for part in parts:
+        if isinstance(part, str):
+            import hashlib  # deferred: the one place that hashes
+
+            part = int.from_bytes(hashlib.blake2b(part.encode(), digest_size=8).digest(), "little")
+        state = mix64_array((state + _GOLDEN) ^ as_uint64(_as_seed(part)))
+    return int(state[0])
+
+
+def column_seeds(master: int, indices: np.ndarray) -> np.ndarray:
+    """Sketch-row keys ``mix64(master + (i + 1) * GOLDEN)`` of nonnegative column indices i."""
+    offsets = (indices.astype(np.uint64) + _U1) * _GOLDEN
+    return mix64_array(as_uint64(_as_seed(master)) + offsets)
+
+
+def counter_words(keys, count: int) -> np.ndarray:
+    """Counter-based stream words ``mix64(key + (j + 1) * GOLDEN)``, j < count.
+
+    ``keys`` is a (g, 1) uint64 column, one stream per key.
+    """
+    offsets = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
+    return mix64_array(keys + offsets)
+
+
 _TWO_TO_MINUS_53 = np.array(2.0**-53)
 _TWO_PI = np.array(2.0 * np.pi)
 # sparse-sign values of the six equally likely buckets of a word

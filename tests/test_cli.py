@@ -446,6 +446,24 @@ def test_a_summary_value_past_the_float_range_exits_3_and_writes_nothing(tmp_pat
     assert not summary.exists()
 
 
+@pytest.mark.parametrize("argv", [["select", "--l", "2"], ["sketch", "--r", "2"]],
+                         ids=["select", "sketch"])
+def test_a_failed_write_exits_3_and_leaves_no_other_file(tmp_path, eye3_csv, capsys, argv):
+    # a summary that cannot be opened leaves no picks or sketch behind
+    output, summary = tmp_path / "out.txt", tmp_path / "run.json"
+    missing = str(tmp_path / "no" / "such" / "dir.json")
+    argv = [*argv, "--input", eye3_csv]
+    for extra in ([], ["--output", str(output)]):
+        code, out, err = run_cli(capsys, [*argv, *extra, "--summary", missing])
+        assert (code, out) == (3, "")
+        assert "No such file" in err
+    assert not output.exists()
+    # and an output that cannot be opened leaves no summary
+    code, out, _ = run_cli(capsys, [*argv, "--output", missing, "--summary", str(summary)])
+    assert (code, out) == (3, "")
+    assert not summary.exists()
+
+
 def test_module_entry_point(tmp_path, eye3_csv):
     # `-m` imports from the working directory: run where this colsel lives.
     proc = subprocess.run(

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from colsel import (
     uniform_select,
 )
 from colsel.distributed import Partition
-from colsel.seeds import _GOLDEN, _mix64, column_seeds, mix64_array
+from colsel.sketch import column_seeds, counter_words, derive_seed, mix64_array
 from instances import random_matrix
 
 
@@ -34,17 +36,39 @@ def split_contiguous(a, sizes):
     return parts
 
 
+GOLDEN = 0x9E3779B97F4A7C15
+MASK64 = 2**64 - 1
+
+
+def mix64(z):
+    """Pure-Python splitmix64 finalizer of z modulo 2**64."""
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
 def column_seed(master, index):
-    """Pure-Python row key of one column: _mix64 takes it modulo 2**64."""
-    return _mix64(master + (index + 1) * _GOLDEN)
+    """Pure-Python row key of one column: mix64 takes it modulo 2**64."""
+    return mix64(master + (index + 1) * GOLDEN)
+
+
+def reference_seed(master, *parts):
+    """Pure-Python derive_seed: a string label is its 8-byte blake2b digest."""
+    state = mix64(int(master) ^ GOLDEN)
+    for part in parts:
+        if isinstance(part, str):
+            part = int.from_bytes(hashlib.blake2b(part.encode(), digest_size=8).digest(), "little")
+        state = mix64((state + GOLDEN) ^ int(part))
+    return state
 
 
 def reference_row(spec, index):
-    """Pure-Python projection row: word j is _mix64(key + (j+1)*GOLDEN)."""
+    """Pure-Python projection row: word j is mix64(key + (j+1)*GOLDEN)."""
     r = spec.r
     key = column_seed(spec.seed, index)
     pairs = (r + 1) // 2
-    words = [_mix64(key + (j + 1) * _GOLDEN) for j in range(2 * pairs)]
+    words = [mix64(key + (j + 1) * GOLDEN) for j in range(2 * pairs)]
     if spec.kind == "sign":
         return [(1.0 if w < 2**63 else -1.0) / math.sqrt(r) for w in words[:r]]
     if spec.kind == "sparse-sign":
@@ -135,12 +159,28 @@ def test_vectorized_mixer_matches_scalar_reference():
     rng = np.random.default_rng(0)
     z = rng.integers(0, 2**64, size=500, dtype=np.uint64, endpoint=False)
     z[:3] = [0, 1, 2**64 - 1]
-    assert mix64_array(z).tolist() == [_mix64(int(v)) for v in z]
+    assert mix64_array(z).tolist() == [mix64(int(v)) for v in z]
+
+
+def test_seeds_match_pure_python_reference():
+    # masters and integer labels are taken modulo 2**64, numpy ints included
+    masters = [0, 7, -1, -3, 2**63, 2**64 - 1, 2**64, 2**64 + 5, 2**70 + 3,
+               np.int64(-9), np.uint64(2**64 - 1), np.int32(12)]
+    labels = [(), ("sketch",), ("",), ("hybrid-svd", "trial"), (0,), (-1,), (2**64 + 1,),
+              (np.int64(-2), "x", 2**65), (np.uint64(5),)]
     indices = np.array([0, 1, 127, 128, 5000, 2**40])
-    for master in (0, 7, 2**64 - 1, -3):
-        keys = column_seeds(master, indices)
-        assert keys.dtype == np.uint64
-        assert keys.tolist() == [column_seed(master, int(i)) for i in indices]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # uint64 arithmetic must wrap, not warn
+        for master in masters:
+            for parts in labels:
+                seed = derive_seed(master, *parts)
+                assert type(seed) is int and seed == reference_seed(master, *parts)
+            keys = column_seeds(master, indices)
+            assert keys.dtype == np.uint64
+            assert keys.tolist() == [column_seed(int(master), int(i)) for i in indices]
+            words = counter_words(keys[:, None], 5)
+            assert words.tolist() == [[mix64(k + (j + 1) * GOLDEN) for j in range(5)]
+                                      for k in keys.tolist()]
 
 
 @pytest.mark.parametrize("kind", ["sign", "sparse-sign", "gaussian"])
