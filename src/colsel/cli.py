@@ -15,6 +15,7 @@ subcommand imports only the modules it runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -191,15 +192,21 @@ def _run(args) -> int:
                    "parameters": {"l": len(selected), "trials": args.trials, "seed": args.seed},
                    "f_value": error, "relative_accuracy": accuracy}
 
-    summary_file = None
+    summary_created = False
     if args.summary:
         doc = {**dict.fromkeys(_SUMMARY_KEYS), **summary, "selected": selected,
                "exhausted": len(selected) < summary["parameters"].get("l", 0),
                "timings": {**timings, "total": time.perf_counter() - t0}}
         # An infinite or NaN value is not JSON, and a summary path may not
         # open: either raises here, before the picks or the sketch are written.
+        # The probe does not truncate: a summary there before stays as it was.
         summary_text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        summary_file = open(args.summary, "w", encoding="utf-8")
+        try:
+            open(args.summary, "x").close()
+        except FileExistsError:
+            open(args.summary, "a").close()
+        else:
+            summary_created = True
     try:
         if args.command == "sketch":
             # A sketch file takes --format; stdout takes CSV rows.
@@ -215,13 +222,13 @@ def _run(args) -> int:
             else:
                 sys.stdout.write(text)
     except BaseException:
-        if summary_file:  # a failed write of the result leaves no summary
-            summary_file.close()
-            os.remove(args.summary)
+        if summary_created:  # a failed write of the result leaves no new summary
+            with contextlib.suppress(OSError):
+                os.remove(args.summary)
         raise
-    if summary_file:
-        with summary_file:
-            summary_file.write(summary_text)
+    if args.summary:  # after the result: a summary naming the --output file replaces it
+        with open(args.summary, "w", encoding="utf-8") as handle:
+            handle.write(summary_text)
     return 0
 
 

@@ -462,6 +462,25 @@ def test_a_failed_write_exits_3_and_leaves_no_other_file(tmp_path, eye3_csv, cap
     code, out, _ = run_cli(capsys, [*argv, "--output", missing, "--summary", str(summary)])
     assert (code, out) == (3, "")
     assert not summary.exists()
+    # nor touches a summary that was there before
+    summary.write_text("earlier run\n")
+    code, out, err = run_cli(capsys, [*argv, "--output", missing, "--summary", str(summary)])
+    assert (code, out) == (3, "")
+    assert "No such file" in err
+    assert summary.read_text() == "earlier run\n"
+
+
+@pytest.mark.parametrize("argv, method", [(["select", "--l", "2"], "greedy"),
+                                          (["sketch", "--r", "8"], "sketch")],
+                         ids=["select", "sketch"])
+def test_a_summary_naming_the_output_file_replaces_it(tmp_path, capsys, argv, method):
+    # the result is written first, then the summary takes the whole file
+    path, both = tmp_path / "a.csv", tmp_path / "both.json"
+    save_matrix(random_matrix(6, 5, seed=0), path, "csv")
+    code, _, _ = run_cli(capsys, [*argv, "--input", str(path),
+                                  "--output", str(both), "--summary", str(both)])
+    assert code == 0
+    assert json.loads(both.read_text())["method"] == method
 
 
 def test_module_entry_point(tmp_path, eye3_csv):
