@@ -14,9 +14,11 @@ __version__ = "0.1.0"
 # declaration of the API, since no submodule declares __all__.
 _EXPORTS = {
     "baselines": (
+        "SvdResult",
         "hybrid_select",
         "naive_generalized_oracle",
         "naive_greedy_oracle",
+        "randomized_svd",
         "sketch_svd_select",
         "uniform_select",
     ),
@@ -41,13 +43,7 @@ _EXPORTS = {
         "init_state",
         "select_next",
     ),
-    "linalg": (
-        "SvdResult",
-        "as_matrix",
-        "frobenius_sq",
-        "randomized_svd",
-        "reconstruction_error",
-    ),
+    "linalg": ("as_matrix", "frobenius_sq", "reconstruction_error"),
     "matrixio": ("MatrixFormatError", "load_matrix", "save_matrix"),
     "sketch": ("SketchSpec", "derive_seed", "sketch_matrix", "sketch_partitioned", "sketch_row"),
 }

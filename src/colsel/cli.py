@@ -99,13 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _sketch_spec(args, n: int) -> SketchSpec:
-    kind = args.sketch
-    r = args.r
-    if r is None:
-        if kind != "identity":
-            raise ValueError(f"--r is required for {kind} sketches")
-        r = n
-    return SketchSpec(kind=kind, r=r, seed=colsel.derive_seed(args.seed, "sketch"))
+    if args.r is None and args.sketch != "identity":
+        raise ValueError(f"--r is required for {args.sketch} sketches")
+    r = n if args.r is None else args.r
+    return SketchSpec(kind=args.sketch, r=r, seed=colsel.derive_seed(args.seed, "sketch"))
 
 
 def _read_indices(path: str | None) -> list[int]:

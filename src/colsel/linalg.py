@@ -5,7 +5,8 @@ validated once at construction time by :func:`as_matrix`.  Column indices
 are validated once too: public names check them with
 :func:`check_column_set`, and private kernels such as
 :func:`_projection_errors` trust their callers.  All operations here are
-pure functions of their inputs.
+pure functions of their inputs, and none is random: the randomized SVD is
+in :mod:`colsel.baselines`, with its only callers.
 
 This module owns the projection error ``||T - P_S T||_F^2`` of a target
 ``T`` on a column set ``S``: :func:`reconstruction_error` (``T = A``), the
@@ -18,7 +19,6 @@ independent check on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,10 +36,6 @@ RANK_TOLERANCE = 1e-12
 # nearly attained for small m, so the fraction sits an order of magnitude
 # below the 1e-10 relative accuracy the errors are meant to have.
 _ENERGY_TOLERANCE = 1e-11
-
-# Extra probe columns and power iterations of :func:`randomized_svd`.
-_OVERSAMPLE = 10
-_POWER_ITERS = 2
 
 _MASK64 = (1 << 64) - 1
 
@@ -180,36 +176,3 @@ def reconstruction_error(a: np.ndarray, columns: Sequence[int]) -> float:
     The empty selection yields the squared Frobenius norm of ``a``.
     """
     return _projection_errors(a, check_column_set(columns, a.shape[1]), [a])[0]
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Truncated singular value decomposition, factors with orthonormal columns."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-
-def randomized_svd(a: np.ndarray, k: int, seed: int = 0) -> SvdResult:
-    """Randomized truncated SVD (range finder with power iterations).
-
-    Deterministic for a fixed seed, which passes :func:`_as_seed`.  Used
-    by the ``hybrid-svd`` and ``sketch-svd`` baselines; the evaluation
-    metric takes its best-rank error from an exact decomposition.
-    """
-    m, n = a.shape
-    if not _is_int_type(type(k)) or k < 1 or k > min(m, n):
-        raise ValueError(f"rank k must satisfy 1 <= k <= {min(m, n)}, got {k}")
-    rng = np.random.default_rng(_as_seed(seed))
-    width = min(k + _OVERSAMPLE, min(m, n))
-    probe = rng.standard_normal((n, width))
-    q, _ = np.linalg.qr(a @ probe)
-    for _ in range(_POWER_ITERS):
-        q, _ = np.linalg.qr(a.T @ q)
-        q, _ = np.linalg.qr(a @ q)
-    b = q.T @ a
-    u, s, vt = np.linalg.svd(b, full_matrices=False)
-    return SvdResult(
-        u=q @ u[:, :k], singular_values=s[:k].copy(), v=vt[:k].T.copy()
-    )

@@ -1,4 +1,4 @@
-"""Random-projection sketching and the counter-based stream behind every seed.
+"""Random-projection sketching and the counter-based stream behind every draw.
 
 One master seed drives every stochastic component through one splitmix64
 stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -7,29 +7,28 @@ SC 2011), with ``mix64`` its finalizer and GOLDEN 0x9E3779B97F4A7C15.
 sub-seed, so that any consumer (an evaluation trial, a nested SVD, the
 sketch) regenerates its stream independent of call order.  Every seed
 passes one rule, ``linalg._as_seed``: a Python or numpy int, but no bool,
-taken modulo 2**64.
-
-Each row of the projection matrix is a pure function of (seed, global
-column index), so partial sketches computed on different partitions,
-threads, or machines agree exactly.  The row of column i is keyed by
+taken modulo 2**64.  Column i of a stream is keyed by
 ``key = mix64(seed + (i+1)*GOLDEN)``, and its word j is
 ``mix64(key + (j+1)*GOLDEN)``.
+
+:func:`sample_columns` draws columns by their keys alone: the smallest keys
+for a uniform draw, an exponential race for a weighted one.  The sketch's
+projection row of column i comes from its words, so partial sketches on
+different partitions, threads, or machines agree exactly.
 ``sign`` takes entry j's sign from the top bit of word j and
 ``sparse-sign`` its bucket from the top bits; for ``gaussian`` each word
 gives a 53-bit uniform in (0, 1] and words k and k + ceil(r/2) give
-entries k and k + ceil(r/2) as one Box-Muller pair.
-Rows are bit-identical however they are grouped on one numpy build;
+entries k and k + ceil(r/2) as one Box-Muller pair.  Uniform draws and the
+integer kinds are the same on every numpy build and CPU; weighted draws and
 ``gaussian`` entries may differ in the last ulp across CPUs, where numpy's
 SIMD ``log``/``cos``/``sin`` differ.
 
 A partition's sketch is one product per group of at most 128 of its columns
-with that group's stacked projection rows, generated in one vectorized
-pass, so at most 128 rows of the projection matrix are held at a time;
-partial sketches are summed in partition order.  The ``identity`` kind
-forms no projection rows: each partition's columns are added into their
-global columns of the sketch, which costs one pass over the matrix.  Row
-entries are scaled by 1/sqrt(r) to make the sketch norm-preserving in
-expectation; selection criteria are invariant to this uniform scaling.
+with their projection rows, so at most 128 rows are held at a time; partial
+sketches are summed in partition order.  The ``identity`` kind adds each
+partition's columns into their global columns of the sketch.  Row entries
+are scaled by 1/sqrt(r), which makes the sketch norm-preserving in
+expectation and leaves every selection criterion unchanged.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ def as_uint64(value: int) -> np.ndarray:
 # splitmix64 finalizer: xor-shift, multiply, xor-shift, multiply, xor-shift
 _S1, _M1, _S2, _M2, _S3 = map(as_uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
 _GOLDEN = as_uint64(0x9E3779B97F4A7C15)
-_U1, _U6, _U11, _U53 = map(as_uint64, (1, 6, 11, 53))
+_U1, _U6, _U11, _U12, _U53 = map(as_uint64, (1, 6, 11, 12, 53))
 _SIGN_BIT = as_uint64(1 << 63)
 
 
@@ -128,7 +127,7 @@ def counter_words(keys, count: int) -> np.ndarray:
     return mix64_array(keys + offsets)
 
 
-_TWO_TO_MINUS_53 = np.array(2.0**-53)
+_TWO_TO_MINUS_52, _TWO_TO_MINUS_53 = np.array(2.0**-52), np.array(2.0**-53)
 _TWO_PI = np.array(2.0 * np.pi)
 # sparse-sign values of the six equally likely buckets of a word
 _SPARSE_VALUES = np.sqrt(3.0) * np.array([1.0, 0.0, 0.0, 0.0, 0.0, -1.0])
@@ -162,6 +161,26 @@ def _stream_rows(kind: str, r: int, keys) -> np.ndarray:
     first *= radius
     second *= radius
     return rows[..., :r]
+
+
+def sample_columns(n: int, k: int, seed: int, draw: int = 0, weights=None) -> np.ndarray:
+    """Draw ``draw`` of ``seed``: k distinct columns of ``range(n)``, in the order drawn.
+
+    Column i's key is ``column_seeds(derive_seed(seed, draw), [i])``.  A
+    uniform draw takes the k smallest keys.  A weighted one races
+    ``-log(u_i) / w_i`` (Efraimidis & Spirakis, IPL 2006), in the log domain
+    so that no quotient overflows, with u_i in (0, 1) from the key's top 52
+    bits; only the columns of positive weight (at least one) race, so at
+    most their count is drawn.
+    """
+    columns = np.arange(n) if weights is None else np.flatnonzero(weights > 0)
+    keys = column_seeds(derive_seed(seed, draw), columns)
+    if weights is not None:
+        uniforms = ((keys >> _U12) + 0.5) * _TWO_TO_MINUS_52
+        keys = np.log(-np.log(uniforms)) - np.log(weights[columns])
+    k = min(k, columns.size)
+    first = np.argpartition(keys, k - 1)[:k]
+    return columns[first[np.argsort(keys[first])]]
 
 
 def sketch_row(spec: SketchSpec, index: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,23 @@ def test_eval_agrees_with_library(tmp_path, capsys):
     want = relative_accuracy(a, indices, uniform_trials=10, seed=3)
     assert got == want
     assert got > 0.0
+
+
+@pytest.mark.parametrize("exponent", ["e160", "e-160"])
+def test_eval_of_entries_whose_squares_leave_the_float_range(tmp_path, capsys, exponent):
+    (tmp_path / "idx.txt").write_text("0\n")
+    printed = []
+    for suffix in ("", exponent):
+        path = tmp_path / f"a{suffix}.csv"
+        path.write_text(f"1{suffix},2{suffix},0\n0,1{suffix},3{suffix}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, ["eval", "--input", str(path),
+                                            "--indices", str(tmp_path / "idx.txt")])
+        assert code == 0
+        printed.append(float(out))
+    # 1e160 * x is x times a power of two only to rounding
+    assert printed[1] == pytest.approx(printed[0], rel=1e-13)
 
 
 def test_sketch_identity_round_trip(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from colsel import (
     MetricUndefinedError,
     as_matrix,
+    evaluate_selection,
     frobenius_sq,
     generalized_select,
     greedy_select,
@@ -19,6 +20,7 @@ from colsel import (
     sketch_svd_select,
     uniform_select,
 )
+from colsel.sketch import column_seeds, derive_seed
 from instances import badly_scaled_wide, planted_lowrank, random_matrix, rank_deficient_matrix
 
 
@@ -50,10 +52,8 @@ def test_relative_accuracy_matches_formula_oracle():
     got = relative_accuracy(a, cols, uniform_trials=10, seed=11)
 
     # independent reimplementation from raw errors
-    rng = np.random.default_rng(11)
     uniform_errs = []
-    for _ in range(10):
-        subset = [int(i) for i in rng.choice(60, size=5, replace=False)]
+    for subset in uniform_draws(60, 5, 10, 11):
         uniform_errs.append(math.sqrt(reconstruction_error(a, subset)))
     err_u = float(np.mean(uniform_errs))
     err_s = math.sqrt(reconstruction_error(a, cols))
@@ -61,6 +61,12 @@ def test_relative_accuracy_matches_formula_oracle():
     err_opt = math.sqrt(float(np.sum(svals[5:] ** 2)))
     want = 100.0 * (err_u - err_s) / (err_u - err_opt)
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def uniform_draws(n, l, trials, seed):
+    """The metric's trials by their rule: trial t takes the l smallest keys of draw t of ``seed``."""
+    return [np.argsort(column_seeds(derive_seed(seed, t), np.arange(n)))[:l].tolist()
+            for t in range(trials)]
 
 
 def lstsq_relative_accuracy(a, cols, trials, seed):
@@ -71,9 +77,8 @@ def lstsq_relative_accuracy(a, cols, trials, seed):
         coef, *_ = np.linalg.lstsq(sub, a, rcond=None)
         return math.sqrt(frobenius_sq(a - sub @ coef))
 
-    n, l = a.shape[1], len(cols)
-    rng = np.random.default_rng(seed)
-    draws = [[int(i) for i in rng.choice(n, size=l, replace=False)] for _ in range(trials)]
+    l = len(cols)
+    draws = uniform_draws(a.shape[1], l, trials, seed)
     err_u = float(np.mean([err(d) for d in draws]))
     svals = np.linalg.svd(a, compute_uv=False)
     err_opt = math.sqrt(float(np.sum(svals[l:] ** 2)))
@@ -108,6 +113,24 @@ def test_relative_accuracy_with_dependent_uniform_draws(make):
     assert got == pytest.approx(want, rel=1e-10)
 
 
+def test_relative_accuracy_is_invariant_to_power_of_two_scaling():
+    # past about 2**200 or below 2**-200 the squares leave the range where
+    # the kernels run unscaled, and the metric scales A back into it
+    a = random_matrix(8, 12, seed=3)
+    cols = greedy_select(a, 3).indices
+    error, want = evaluate_selection(a, cols, 3, seed=5)
+    tiny = np.finfo(np.float64).tiny
+    tested = 0
+    for k in range(-1000, 1001):
+        b = np.ldexp(a, k)
+        if np.all(np.isfinite(b)) and np.abs(b[b != 0]).min() >= tiny:
+            assert relative_accuracy(b, cols, 3, seed=5) == want, k
+            tested += 1
+    assert tested > 1900
+    for k in (-450, 450):
+        assert evaluate_selection(np.ldexp(a, k), cols, 3, seed=5)[0] == math.ldexp(error, 2 * k)
+
+
 def test_relative_accuracy_rejects_bad_column_sets():
     a = random_matrix(6, 5, seed=30)
     with pytest.raises(ValueError, match="distinct"):
@@ -133,6 +156,13 @@ def test_uniform_select_all_and_determinism():
     assert uniform_select(30, 4, seed=8) == uniform_select(30, 4, seed=8)
     with pytest.raises(ValueError, match="budget"):
         uniform_select(5, 0, seed=3)
+
+
+def test_uniform_select_is_pinned():
+    # integer arithmetic alone: every numpy version and CPU draws these
+    assert uniform_select(20, 5, seed=0) == [16, 19, 13, 0, 12]
+    assert uniform_select(20, 5, seed=1) == [6, 11, 16, 14, 1]
+    assert uniform_select(20, 5, seed=2**64 - 1) == [12, 7, 14, 15, 17]
 
 
 def test_uniform_select_frequencies():

@@ -63,12 +63,17 @@ def test_names_and_submodules_resolve_on_first_use():
     assert run_fresh(code) == "ok\n"
 
 
+BASELINES = {"baselines", "cli", "generalized", "greedy", "linalg", "matrixio", "sketch"}
+
+
 @pytest.mark.parametrize("argv, modules", [
     (["select", "--l", "2"], {"cli", "greedy", "linalg", "matrixio", "sketch"}),
     (["select-dist", "--l", "2", "--r", "4", "--partitions", "2"],
      {"cli", "distributed", "greedy", "linalg", "matrixio", "sketch"}),
     (["eval", "--indices", "picks.txt"], {"cli", "evaluate", "linalg", "matrixio", "sketch"}),
-], ids=["select", "select-dist", "eval"])
+    (["baseline", "uniform", "--l", "2"], BASELINES),
+    (["baseline", "hybrid-svd", "--l", "2"], BASELINES),
+], ids=["select", "select-dist", "eval", "baseline-uniform", "baseline-hybrid-svd"])
 def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, modules):
     colsel.save_matrix(np.random.default_rng(0).standard_normal((6, 8)), tmp_path / "mat.bin",
                        "binary")
@@ -76,14 +81,19 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, modules):
     argv = [str(tmp_path / arg) if arg == "picks.txt" else arg for arg in argv] + [
         "--input", str(tmp_path / "mat.bin"), "--format", "binary",
         "--output", str(tmp_path / "out.txt")]
+    # the modules the run adds to those numpy loads (numpy 1.x loads numpy.random)
     code = (
-        "import json, sys\n"
+        "import json, sys, numpy\n"
+        "before = set(sys.modules)\n"
         "from colsel.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('colsel.') "
-        "or m == 'hashlib')))\n"
+        "print(json.dumps(sorted(m for m in set(sys.modules) - before if m.startswith('colsel.') "
+        "or m in ('hashlib', 'numpy.random'))))\n"
     )
     loaded = set(json.loads(run_fresh(code, *argv)))
-    assert loaded - {"hashlib"} == {f"colsel.{name}" for name in modules}, sorted(loaded)
-    # select derives no seed, so it hashes no label
-    assert argv[0] != "select" or "hashlib" not in loaded
+    extra = {"hashlib", "numpy.random"}
+    assert loaded - extra == {f"colsel.{name}" for name in modules}, sorted(loaded)
+    # every draw comes from the counter-based stream of colsel.sketch
+    assert "numpy.random" not in loaded
+    # select derives no seed and eval only integer-labelled ones, so neither hashes a label
+    assert argv[0] not in ("select", "eval") or "hashlib" not in loaded

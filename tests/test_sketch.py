@@ -20,7 +20,7 @@ from colsel import (
     uniform_select,
 )
 from colsel.distributed import Partition
-from colsel.sketch import column_seeds, counter_words, derive_seed, mix64_array
+from colsel.sketch import column_seeds, counter_words, derive_seed, mix64_array, sample_columns
 from instances import random_matrix
 
 
@@ -258,6 +258,21 @@ def test_gaussian_stream_statistics():
     kurtosis = np.mean(x**4) / np.mean(x**2) ** 2
     assert abs(kurtosis - 3.0) <= 4.0 * math.sqrt(24.0 / total)
     assert_uncorrelated(x)
+
+
+def test_weighted_draws_never_take_a_zero_weight():
+    # 5e-324 would overflow the quotient -log(u) / w, but not its logarithm
+    weights = np.array([0.0, 1.0, 0.0, 2.0, 5.0, 0.0, 5e-324])
+    for seed in range(1000):
+        drawn = sample_columns(7, 3, seed, weights=weights).tolist()
+        assert len(set(drawn)) == 3 and set(drawn) <= {1, 3, 4, 6}, seed
+    assert sorted(sample_columns(7, 6, 0, weights=weights)) == [1, 3, 4, 6]
+
+
+def test_weighted_first_draw_follows_the_weights():
+    weights = np.array([1.0, 3.0])
+    firsts = sum(sample_columns(2, 2, seed, weights=weights)[0] == 0 for seed in range(4000))
+    assert abs(firsts - 1000) <= 4.0 * math.sqrt(4000 * 0.25 * 0.75)
 
 
 def test_identity_sketch_reproduces_matrix():
