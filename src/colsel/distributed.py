@@ -3,9 +3,12 @@
 Shaped like a map/reduce job run in-process: every partition independently
 selects columns that reconstruct the shared sketch, then a single reduce
 step selects the final columns from the union of the per-partition picks.
-Both phases share one kernel that selects from a column block and gathers
-the picks' global indices and data.  Only the picked columns cross the phase
-boundary; the report tracks that data movement and the sketch broadcast cost.
+Every phase takes column blocks, ``(columns, global index map)`` pairs: a
+list of them is nonempty, with one row count, one column per index and no
+index twice (:func:`linalg.check_blocks`).  The sketch sums its partial
+sketches, and both selection phases join their blocks, in list order, the
+one partition order.  Only the picked columns cross the phase boundary;
+the report tracks that data movement and the sketch broadcast cost.
 
 Both phases take the target ``b=None`` to mean that the candidates are
 their own target.  The naive baseline is the same two phases run that way:
@@ -23,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from .greedy import SelectionResult, _check_budget, _select
-from .linalg import _is_int_type, _projection_errors, check_column_set
+from .linalg import _is_int_type, _projection_errors, check_blocks
 from .sketch import SketchSpec, sketch_partitioned
 
 
@@ -50,7 +53,6 @@ class DistributedConfig:
 class Partition:
     """One column block of the input matrix with its global index map."""
 
-    pid: int
     matrix: np.ndarray
     global_indices: np.ndarray
 
@@ -59,7 +61,6 @@ class Partition:
 class PartitionResult:
     """Columns one partition emits to the reduce phase."""
 
-    pid: int
     global_indices: list[int]
     columns: np.ndarray
 
@@ -76,37 +77,36 @@ def partition_columns(a: np.ndarray, c: int) -> list[Partition]:
     parts = []
     base, extra = divmod(n, c)
     start = 0
-    for pid in range(c):
-        stop = start + base + (1 if pid < extra else 0)
-        parts.append(Partition(pid, a[:, start:stop], np.arange(start, stop)))
+    for p in range(c):
+        stop = start + base + (1 if p < extra else 0)
+        parts.append(Partition(a[:, start:stop], np.arange(start, stop)))
         start = stop
     return parts
 
 
-def _select_columns(
-    block: np.ndarray, b: np.ndarray | None, l: int, global_indices: list[int]
+def _select_blocks(
+    blocks: list[tuple], b: np.ndarray | None, l: int
 ) -> tuple[SelectionResult, list[int], np.ndarray]:
-    """Select up to ``l`` columns of ``block``: the picks, their global indices and data."""
-    # neither phase knows the full column count, so no budget is too large
+    """Select up to ``l`` columns of the joined blocks: picks, their global indices, data."""
+    # neither phase knows the full column count, so no index or budget is too large
+    union = list(chain(*check_blocks(blocks, sys.maxsize)))
     _check_budget(l, sys.maxsize)
-    selection = _select(block, b, l)
-    picked = [global_indices[j] for j in selection.indices]
-    return selection, picked, np.asfortranarray(block[:, selection.indices])
+    # a lone block is selected from as it is, with no copy
+    candidates = blocks[0][0] if len(blocks) == 1 else np.asfortranarray(
+        np.concatenate([columns for columns, _ in blocks], axis=1))
+    selection = _select(candidates, b, l)
+    picked = [union[j] for j in selection.indices]
+    return selection, picked, np.asfortranarray(candidates[:, selection.indices])
 
 
 def map_phase(partition: Partition, b: np.ndarray | None, l_b: int) -> PartitionResult:
     """Select up to ``l_b`` columns of one partition against the shared target.
 
-    With ``b=None`` the partition's own block is the target.  The index map
-    holds one index per block column and passes ``check_column_set``.  A
-    zero or 0-column block emits no column.
+    With ``b=None`` the partition's own block is the target.  A zero or
+    0-column block emits no column.
     """
-    # neither phase knows the full column count, so no index is too large
-    indices = check_column_set(partition.global_indices, sys.maxsize)
-    if partition.matrix.shape[1] != len(indices):
-        raise ValueError("partition block width does not match its index map")
-    _, picked, columns = _select_columns(partition.matrix, b, l_b, indices)
-    return PartitionResult(pid=partition.pid, global_indices=picked, columns=columns)
+    _, picked, columns = _select_blocks([(partition.matrix, partition.global_indices)], b, l_b)
+    return PartitionResult(global_indices=picked, columns=columns)
 
 
 def reduce_phase(
@@ -114,25 +114,14 @@ def reduce_phase(
 ) -> tuple[SelectionResult, list[int], np.ndarray]:
     """Final selection over the union of per-partition picks.
 
-    With ``b=None`` the union itself is the target.  Each result holds one
-    column per global index; the indices and their union pass
-    ``check_column_set``.  Returns the selection over the concatenated
-    candidates, the winners' global indices and column data.  The
-    exhausted flag is set whenever fewer than ``l`` columns come back: the
-    union is smaller or empty, the candidates run out or ``b`` is already
-    reconstructed.
+    With ``b=None`` the union itself is the target.  Returns the selection
+    over the candidates joined in list order, the winners' global indices
+    and column data.  The exhausted flag is set whenever fewer than ``l``
+    columns come back: the union is smaller or empty, the candidates run
+    out or ``b`` is already reconstructed.
     """
-    if not results:
-        raise ValueError("reduce phase needs at least one partition result")
-    ordered = sorted(results, key=lambda r: r.pid)
-    indices = [check_column_set(r.global_indices, sys.maxsize) for r in ordered]
-    if any(np.shape(r.columns)[1:] != (len(i),) for r, i in zip(ordered, indices)):
-        raise ValueError("partition result width does not match its global indices")
-    union_globals = check_column_set(chain(*indices), sys.maxsize)
-    candidates = np.asfortranarray(
-        np.concatenate([r.columns for r in ordered], axis=1)
-    )
-    selection, winners, data = _select_columns(candidates, b, l, union_globals)
+    blocks = [(r.columns, r.global_indices) for r in results]
+    selection, winners, data = _select_blocks(blocks, b, l)
     return replace(selection, exhausted=len(selection.indices) < l), winners, data
 
 

@@ -3,10 +3,9 @@
 Matrices are plain float64 numpy arrays in column-major (Fortran) layout,
 validated once at construction time by :func:`as_matrix`.  Column indices
 are validated once too: public names check them with
-:func:`check_column_set`, and private kernels such as
-:func:`_projection_errors` trust their callers.  All operations here are
-pure functions of their inputs, and none is random: the randomized SVD is
-in :mod:`colsel.baselines`, with its only callers.
+:func:`check_column_set`, column blocks with :func:`check_blocks`, and
+private kernels such as :func:`_projection_errors` trust their callers.
+All operations here are pure functions of their inputs.
 
 This module owns the projection error ``||T - P_S T||_F^2`` of a target
 ``T`` on a column set ``S``: :func:`reconstruction_error` (``T = A``), the
@@ -19,6 +18,7 @@ independent check on it.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -36,8 +36,6 @@ RANK_TOLERANCE = 1e-12
 # nearly attained for small m, so the fraction sits an order of magnitude
 # below the 1e-10 relative accuracy the errors are meant to have.
 _ENERGY_TOLERANCE = 1e-11
-
-_MASK64 = (1 << 64) - 1
 
 
 def as_matrix(values) -> np.ndarray:
@@ -60,13 +58,6 @@ def as_matrix(values) -> np.ndarray:
 def _is_int_type(t: type) -> bool:
     """The type rule of counts and indices: a Python or numpy int, but no bool."""
     return t is not bool and issubclass(t, (int, np.integer))
-
-
-def _as_seed(seed) -> int:
-    """The seed rule: an integer by the type rule of counts, as a Python int modulo 2**64."""
-    if not _is_int_type(type(seed)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return int(seed) & _MASK64
 
 
 def check_column_set(columns: Sequence[int], n_cols: int) -> list[int]:
@@ -99,6 +90,28 @@ def check_column_set(columns: Sequence[int], n_cols: int) -> list[int]:
     if outside.any():
         raise ValueError(f"column index {values[outside][0]} out of range for {n_cols} columns")
     return values.astype(np.int64).tolist()
+
+
+def check_blocks(blocks: Sequence[tuple], n_cols: int) -> list[list[int]]:
+    """The block rule: ``(columns, global index map)`` pairs over distinct global columns.
+
+    There is at least one block, and all have one row count.  Each block
+    holds one column per index, and each map and their join pass
+    :func:`check_column_set` for ``n_cols``.  Returns the maps as Python ints.
+    """
+    if not blocks:
+        raise ValueError("at least one partition is required")
+    m = np.shape(blocks[0][0])[0]
+    maps = []
+    for columns, indices in blocks:
+        shape = np.shape(columns)
+        if shape[0] != m:
+            raise ValueError(f"inconsistent row counts across partitions: {shape[0]} != {m}")
+        maps.append(check_column_set(indices, n_cols))
+        if shape[1:] != (len(maps[-1]),):
+            raise ValueError("partition block width does not match its index map")
+    check_column_set(chain(*maps), n_cols)
+    return maps
 
 
 def column_norms_sq(a: np.ndarray) -> np.ndarray:

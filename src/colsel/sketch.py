@@ -6,7 +6,7 @@ SC 2011), with ``mix64`` its finalizer and GOLDEN 0x9E3779B97F4A7C15.
 :func:`derive_seed` mixes a master seed with stable labels into a
 sub-seed, so that any consumer (an evaluation trial, a nested SVD, the
 sketch) regenerates its stream independent of call order.  Every seed
-passes one rule, ``linalg._as_seed``: a Python or numpy int, but no bool,
+passes one rule, :func:`_as_seed`: a Python or numpy int, but no bool,
 taken modulo 2**64.  Column i of a stream is keyed by
 ``key = mix64(seed + (i+1)*GOLDEN)``, and its word j is
 ``mix64(key + (j+1)*GOLDEN)``.
@@ -36,12 +36,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import _as_seed, _is_int_type, check_column_set
+from .linalg import _is_int_type, check_blocks, check_column_set
 
 KINDS = ("gaussian", "sign", "sparse-sign", "identity")
 
@@ -81,6 +80,7 @@ _S1, _M1, _S2, _M2, _S3 = map(as_uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB
 _GOLDEN = as_uint64(0x9E3779B97F4A7C15)
 _U1, _U6, _U11, _U12, _U53 = map(as_uint64, (1, 6, 11, 12, 53))
 _SIGN_BIT = as_uint64(1 << 63)
+_MASK64 = (1 << 64) - 1
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
@@ -95,6 +95,13 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     z *= _M2
     z ^= z >> _S3
     return z
+
+
+def _as_seed(seed) -> int:
+    """The seed rule: an integer by the type rule of counts, as a Python int modulo 2**64."""
+    if not _is_int_type(type(seed)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed) & _MASK64
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -208,37 +215,27 @@ def sketch_partitioned(
 ) -> np.ndarray:
     """Sketch a column-partitioned matrix from per-partition partial sums.
 
-    ``partitions`` holds (matrix block, global column indices) pairs; each
-    map and their join pass ``check_column_set`` for the summed widths, so
-    they tile the columns.  Each partition's partial sketch is added in
-    partition order, one product per group of at most ``_BLOCK`` columns;
-    the result matches :func:`sketch_matrix` on the concatenated matrix up
-    to the order of summation.
+    ``partitions`` holds blocks that pass :func:`linalg.check_blocks` for
+    their summed widths, so they tile the columns.  Each partition's partial
+    sketch is added in list order, one product per group of at most
+    ``_BLOCK`` columns; the result matches :func:`sketch_matrix` on the
+    concatenated matrix up to the order of summation.
     """
-    if not partitions:
-        raise ValueError("at least one partition is required")
-    m = partitions[0][0].shape[0]
-    for block, indices in partitions:
-        if block.shape[0] != m:
-            raise ValueError(
-                f"inconsistent row counts across partitions: {block.shape[0]} != {m}"
-            )
-        if block.shape[1] != len(indices):
-            raise ValueError("partition block width does not match its index map")
     total = sum(block.shape[1] for block, _ in partitions)
-    check_column_set(chain(*(check_column_set(ix, total) for _, ix in partitions)), total)
+    maps = check_blocks(partitions, total)
     if spec.kind == "identity" and spec.r != total:
         raise ValueError(
             f"identity sketch requires r == {total} (the column count), got {spec.r}"
         )
-    out = np.zeros((m, spec.r))
-    for block, indices in partitions:
+    out = np.zeros((partitions[0][0].shape[0], spec.r))
+    for (block, _), indices in zip(partitions, maps):
+        indices = np.array(indices, dtype=np.int64)
         if spec.kind == "identity":
             # 0.0 + x is x, but for -0.0, which becomes +0.0 as in the product
-            out[:, np.asarray(indices)] += block
+            out[:, indices] += block
             continue
         for start in range(0, len(indices), _BLOCK):
             group = slice(start, start + _BLOCK)
-            keys = column_seeds(spec.seed, np.asarray(indices[group]))[:, None]
+            keys = column_seeds(spec.seed, indices[group])[:, None]
             out += block[:, group] @ _stream_rows(spec.kind, spec.r, keys)
     return out

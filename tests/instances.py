@@ -5,6 +5,18 @@ import numpy as np
 from colsel import as_matrix
 
 
+def lstsq_error(a, cols, target):
+    """Oracle: squared residual of an SVD-based least-squares fit of ``target`` on ``a[:, cols]``.
+
+    The empty selection leaves all of ``target``.
+    """
+    residual = target
+    if len(cols):
+        coef, *_ = np.linalg.lstsq(a[:, cols], target, rcond=None)
+        residual = target - a[:, cols] @ coef
+    return float(np.sum(residual * residual))
+
+
 def random_matrix(m, n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return as_matrix(rng.standard_normal((m, n)) * scale)

@@ -27,6 +27,7 @@ from colsel import (
 from colsel.cli import main
 from instances import (
     badly_scaled_wide,
+    lstsq_error,
     planted_lowrank,
     random_matrix,
     rank_deficient_matrix,
@@ -236,12 +237,6 @@ def test_summary_document(tmp_path, capsys):
     assert [int(v) for v in written] == doc["selected"]
 
 
-def _lstsq_error(a, cols, target):
-    coef, *_ = np.linalg.lstsq(a[:, cols], target, rcond=None)
-    residual = target - a[:, cols] @ coef
-    return float(np.sum(residual * residual))
-
-
 @pytest.mark.parametrize("command", ["select", "select-gen", "sketch", "baseline", "eval"])
 def test_summary_of_each_subcommand(tmp_path, capsys, command):
     a = random_matrix(12, 16, seed=41)
@@ -288,7 +283,7 @@ def test_summary_of_each_subcommand(tmp_path, capsys, command):
     doc = json.loads(summary.read_text())
     timings = doc.pop("timings")
     if command == "select-gen":
-        assert doc.pop("fbar_value") == pytest.approx(_lstsq_error(a, picks, b), rel=1e-9)
+        assert doc.pop("fbar_value") == pytest.approx(lstsq_error(a, picks, b), rel=1e-9)
         want.pop("fbar_value")
     assert doc == want
     assert set(timings) == ({"eval", "total"} if command == "eval" else {"total"})

@@ -22,15 +22,7 @@ from colsel import (
     sketch_matrix,
 )
 from colsel.distributed import Partition, PartitionResult
-from instances import planted_partitioned, random_matrix, rank_two_beside_tiny
-
-
-def target_error(a, cols, b):
-    if not cols:
-        return frobenius_sq(b)
-    sub = a[:, cols]
-    coef, *_ = np.linalg.lstsq(sub, b, rcond=None)
-    return frobenius_sq(b - sub @ coef)
+from instances import lstsq_error, planted_partitioned, random_matrix, rank_two_beside_tiny
 
 
 def gaussian_config(c, l, r, seed):
@@ -81,15 +73,15 @@ def test_map_phase_target_in_span():
     rng = np.random.default_rng(4)
     block = random_matrix(10, 6, seed=5)
     b = np.asfortranarray(block[:, [0, 2]] @ rng.standard_normal((2, 4)))
-    part = Partition(pid=0, matrix=block, global_indices=np.arange(6))
+    part = Partition(matrix=block, global_indices=np.arange(6))
     res = map_phase(part, b, l_b=4)
-    assert target_error(block, res.global_indices, b) <= 1e-9 * frobenius_sq(b)
+    assert lstsq_error(block, res.global_indices, b) <= 1e-9 * frobenius_sq(b)
 
 
 def test_map_phase_single_pick_maximizes_first_criterion():
     block = random_matrix(9, 7, seed=6)
     b = random_matrix(9, 3, seed=7)
-    part = Partition(pid=2, matrix=block, global_indices=np.arange(10, 17))
+    part = Partition(matrix=block, global_indices=np.arange(10, 17))
     res = map_phase(part, b, l_b=1)
     cross = b.T @ block
     scores = np.sum(cross * cross, axis=0) / np.sum(block * block, axis=0)
@@ -99,7 +91,7 @@ def test_map_phase_single_pick_maximizes_first_criterion():
 def test_map_phase_matches_naive_oracle():
     block = random_matrix(12, 9, seed=8)
     b = random_matrix(12, 5, seed=9)
-    part = Partition(pid=0, matrix=block, global_indices=np.arange(9))
+    part = Partition(matrix=block, global_indices=np.arange(9))
     res = map_phase(part, b, l_b=3)
     oracle = naive_generalized_oracle(block, b, 3)
     assert res.global_indices == oracle.indices
@@ -108,7 +100,7 @@ def test_map_phase_matches_naive_oracle():
 def test_reduce_single_partition_passthrough():
     a = random_matrix(10, 8, seed=10)
     b = random_matrix(10, 4, seed=11)
-    part = Partition(pid=0, matrix=a, global_indices=np.arange(8))
+    part = Partition(matrix=a, global_indices=np.arange(8))
     mapped = map_phase(part, b, l_b=3)
     selection, winners, data = reduce_phase([mapped], b, l=3)
     assert winners == mapped.global_indices
@@ -118,7 +110,7 @@ def test_reduce_single_partition_passthrough():
 def test_map_phase_without_target_is_greedy_on_the_block():
     # A hand-built partition over a strided view: map_phase takes any index map.
     a = random_matrix(10, 14, seed=25)
-    part = Partition(pid=1, matrix=a[:, 1::3], global_indices=np.arange(1, 14, 3))
+    part = Partition(matrix=a[:, 1::3], global_indices=np.arange(1, 14, 3))
     res = map_phase(part, None, l_b=3)
     want = greedy_select(part.matrix, 3).indices
     assert res.global_indices == [int(part.global_indices[j]) for j in want]
@@ -140,16 +132,8 @@ def test_reduce_phase_without_target_is_greedy_on_the_union():
 
 def test_reduce_rejects_duplicate_globals():
     a = random_matrix(6, 4, seed=12)
-    res = PartitionResult(
-        pid=0,
-        global_indices=[2],
-        columns=np.asfortranarray(a[:, [0]]),
-    )
-    dup = PartitionResult(
-        pid=1,
-        global_indices=[2],
-        columns=np.asfortranarray(a[:, [1]]),
-    )
+    res = PartitionResult(global_indices=[2], columns=np.asfortranarray(a[:, [0]]))
+    dup = PartitionResult(global_indices=[2], columns=np.asfortranarray(a[:, [1]]))
     with pytest.raises(ValueError, match="distinct"):
         reduce_phase([res, dup], random_matrix(6, 2, seed=13), l=2)
 
@@ -158,9 +142,7 @@ def test_reduce_rejects_duplicate_globals():
 def test_reduce_rejects_a_result_whose_width_does_not_match_its_indices(indices):
     # fewer indices than columns would index past them; more would drop
     # the extra indices from the union
-    res = PartitionResult(
-        pid=0, global_indices=indices, columns=random_matrix(6, 3, seed=14)
-    )
+    res = PartitionResult(global_indices=indices, columns=random_matrix(6, 3, seed=14))
     with pytest.raises(ValueError, match="width does not match"):
         reduce_phase([res], None, l=2)
 
@@ -173,7 +155,7 @@ def test_reduce_rejects_an_empty_union():
     block[:2] = random_matrix(2, 3, seed=28)
     b = np.zeros((4, 2), order="F")
     b[2:] = random_matrix(2, 2, seed=29)
-    mapped = map_phase(Partition(pid=0, matrix=block, global_indices=np.arange(3)), b, l_b=2)
+    mapped = map_phase(Partition(matrix=block, global_indices=np.arange(3)), b, l_b=2)
     assert mapped.global_indices == []
     # an empty union is not rejected: it has nothing to pick
     selection, winners, data = reduce_phase([mapped], b, l=2)
@@ -188,9 +170,9 @@ def test_reduce_full_union_beats_any_single_partition():
     mapped = [map_phase(p, b, l_b=2) for p in parts]
     # keep the whole union so subset monotonicity applies exactly
     selection, winners, _ = reduce_phase(mapped, b, l=6)
-    final = target_error(a, winners, b)
+    final = lstsq_error(a, winners, b)
     for res in mapped:
-        alone = target_error(a, res.global_indices, b)
+        alone = lstsq_error(a, res.global_indices, b)
         assert final <= alone + 1e-9 * frobenius_sq(b)
 
 
@@ -203,7 +185,7 @@ def test_reduce_value_matches_generalized_oracle():
     candidates = np.asfortranarray(np.concatenate([r.columns for r in mapped], axis=1))
     oracle = naive_generalized_oracle(candidates, b, 4)
     assert selection.indices == oracle.indices
-    got = target_error(data, list(range(data.shape[1])), b)
+    got = lstsq_error(data, list(range(data.shape[1])), b)
     want = frobenius_sq(b) - sum(oracle.gains)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -211,7 +193,7 @@ def test_reduce_value_matches_generalized_oracle():
 def test_reduce_exhaustion_flag_when_union_small():
     a = random_matrix(10, 6, seed=18)
     b = random_matrix(10, 3, seed=19)
-    part = Partition(pid=0, matrix=a, global_indices=np.arange(6))
+    part = Partition(matrix=a, global_indices=np.arange(6))
     mapped = map_phase(part, b, l_b=2)
     selection, winners, _ = reduce_phase([mapped], b, l=5)
     assert selection.exhausted
@@ -320,7 +302,7 @@ def test_a_partition_with_no_nonzero_column_emits_nothing():
 
 
 def test_a_partition_with_no_column_emits_nothing():
-    empty = Partition(pid=0, matrix=np.zeros((6, 0), order="F"), global_indices=np.arange(0))
+    empty = Partition(matrix=np.zeros((6, 0), order="F"), global_indices=np.arange(0))
     b = random_matrix(6, 3, seed=30)
     for target in (b, None):
         mapped = map_phase(empty, target, l_b=2)
@@ -328,7 +310,7 @@ def test_a_partition_with_no_column_emits_nothing():
 
 
 def test_phases_reject_a_budget_below_one():
-    part = Partition(pid=0, matrix=random_matrix(6, 4, seed=31), global_indices=np.arange(4))
+    part = Partition(matrix=random_matrix(6, 4, seed=31), global_indices=np.arange(4))
     b = random_matrix(6, 3, seed=32)
     with pytest.raises(ValueError, match="budget l must satisfy 1 <= l"):
         map_phase(part, b, l_b=0)

@@ -16,15 +16,7 @@ from colsel import (
 )
 from colsel.greedy import EARLY_STOP_TOLERANCE, ExhaustedError
 from colsel.linalg import RANK_TOLERANCE
-from instances import badly_scaled_wide, random_matrix
-
-
-def target_error(a, cols, b):
-    if not cols:
-        return frobenius_sq(b)
-    sub = a[:, cols]
-    coef, *_ = np.linalg.lstsq(sub, b, rcond=None)
-    return frobenius_sq(b - sub @ coef)
+from instances import badly_scaled_wide, lstsq_error, random_matrix
 
 
 def direct_generalized_scores(a, b, selected):
@@ -229,8 +221,8 @@ def test_matches_naive_oracle_and_final_error():
     res = generalized_select(a, b, 4)
     oracle = naive_generalized_oracle(a, b, 4)
     assert res.indices == oracle.indices
-    got = target_error(a, res.indices, b)
-    want = target_error(a, oracle.indices, b)
+    got = lstsq_error(a, res.indices, b)
+    want = lstsq_error(a, oracle.indices, b)
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -242,14 +234,14 @@ def test_generalized_score_consistency_and_telescoping(seed):
     state = generalized_init(a, b)
     from colsel.generalized import _select_next_generalized
 
-    error = target_error(a, [], b)
+    error = lstsq_error(a, [], b)
     for t in range(4):
         _select_next_generalized(state, a, b)
         num, den = direct_generalized_scores(a, b, state.selected)
         act = state.active
         assert_allclose(state.score_num[act], num[act], rtol=1e-8)
         assert_allclose(state.score_den[act], den[act], rtol=1e-8)
-        new_error = target_error(a, state.selected, b)
+        new_error = lstsq_error(a, state.selected, b)
         assert abs(new_error - (error - state.gains[t])) <= 1e-8 * scale
         assert new_error <= error + 1e-9 * scale
         error = new_error
@@ -277,7 +269,7 @@ def test_early_stop_when_target_inside_small_span():
     res = generalized_select(a, b, 5)
     assert res.target_reconstructed
     assert 2 <= len(res.indices) <= 3
-    assert target_error(a, res.indices, b) <= 1e-9 * frobenius_sq(b)
+    assert lstsq_error(a, res.indices, b) <= 1e-9 * frobenius_sq(b)
 
 
 @st.composite

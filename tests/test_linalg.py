@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from colsel import (
 )
 from colsel.distributed import Partition, PartitionResult
 from colsel.linalg import _orthonormal_basis, _projection_errors, check_column_set
-from instances import badly_scaled_wide, random_matrix, rank_deficient_matrix
+from instances import badly_scaled_wide, lstsq_error, random_matrix, rank_deficient_matrix
 
 
 def project(a, cols, x):
@@ -139,7 +140,7 @@ INDEX_TAKERS = {
         [(_A[:, :2], cols), (_A[:, 2:], [2, 3])], SketchSpec("gaussian", r=3)
     ),
     "reduce_phase": lambda cols: reduce_phase(
-        [PartitionResult(pid=0, global_indices=cols, columns=_A[:, :2])], None, l=2
+        [PartitionResult(global_indices=cols, columns=_A[:, :2])], None, l=2
     ),
 }
 
@@ -153,9 +154,53 @@ def test_column_indices_must_be_integers(taker, kind):
 
 @pytest.mark.parametrize("width", [2, 10])
 def test_map_phase_rejects_an_index_map_of_the_wrong_length(width):
-    part = Partition(pid=0, matrix=_A[:, :3], global_indices=np.arange(10, 10 + width))
+    part = Partition(matrix=_A[:, :3], global_indices=np.arange(10, 10 + width))
     with pytest.raises(ValueError, match="width"):
         map_phase(part, None, l_b=3)
+
+
+# Block lists that break the block rule, each with the message every block taker raises
+BAD_BLOCKS = {
+    "no block": ([], "at least one partition is required"),
+    "map too short": ([(_A[:, :3], [0, 1])], "partition block width does not match its index map"),
+    # one block alone would put its extra index out of range in the sketch
+    "map too long": (
+        [(_A[:, :2], [0, 1, 2]), (_A[:, 2:3], [])],
+        "partition block width does not match its index map",
+    ),
+    "row counts": (
+        [(_A[:, :2], [0, 1]), (_A[:3, 2:], [2, 3])],
+        "inconsistent row counts across partitions: 3 != 6",
+    ),
+    "repeat in a map": ([(_A[:, :3], [0, 1, 1])], "column indices must be distinct, 1 repeats"),
+    "repeat across blocks": (
+        [(_A[:, :2], [0, 1]), (_A[:, 2:], [1, 2])],
+        "column indices must be distinct, 1 repeats",
+    ),
+}
+BLOCK_TAKERS = {
+    "sketch_partitioned": lambda blocks: sketch_partitioned(blocks, SketchSpec("gaussian", r=3)),
+    "map_phase": lambda blocks: map_phase(Partition(*blocks[0]), None, l_b=2),
+    "reduce_phase": lambda blocks: reduce_phase(
+        [PartitionResult(global_indices=ix, columns=c) for c, ix in blocks], None, l=2
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "taker, case",
+    [
+        (taker, case)
+        for taker in BLOCK_TAKERS
+        for case, (blocks, _) in BAD_BLOCKS.items()
+        # the map phase takes one block
+        if taker != "map_phase" or len(blocks) == 1
+    ],
+)
+def test_every_block_taker_raises_the_same_error(taker, case):
+    blocks, message = BAD_BLOCKS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BLOCK_TAKERS[taker](blocks)
 
 
 def _first_offender(cols, n):
@@ -271,14 +316,6 @@ def test_randomized_svd_near_optimal_error():
     assert_allclose(res.u.T @ res.u, np.eye(5), atol=1e-8)
     assert np.all(np.diff(res.singular_values) <= 1e-12)
     assert np.all(res.singular_values >= 0)
-
-
-def lstsq_error(a, cols, target):
-    """Oracle: squared residual of an SVD-based least-squares fit."""
-    sub = a[:, cols]
-    coef, *_ = np.linalg.lstsq(sub, target, rcond=None)
-    residual = target - sub @ coef
-    return float(np.sum(residual * residual))
 
 
 def _in_span_plus_orthogonal(rng, s, c, ratio):

@@ -349,6 +349,7 @@ def test_sketch_across_column_groups(kind):
         "round-robin": sketch_partitioned(
             [(a[:, p::2], list(range(p, 300, 2))) for p in range(2)], spec
         ),
+        "empty-block": sketch_partitioned([(a[:, :0], []), (a, list(range(300)))], spec),
     }
     for layout, got in layouts.items():
         if kind == "identity":
@@ -389,7 +390,7 @@ def test_integer_index_maps_of_any_width_are_accepted(kind, dtypes):
     def pipeline(first, second):
         blocks = [(a[:, :4], np.arange(4, dtype=first)), (a[:, 4:], np.arange(4, 10, dtype=second))]
         b = sketch_partitioned(blocks, spec)
-        mapped = [map_phase(Partition(pid, *block), b, 2) for pid, block in enumerate(blocks)]
+        mapped = [map_phase(Partition(*block), b, 2) for block in blocks]
         return b, [r.global_indices for r in mapped], reduce_phase(mapped, b, 3)[1]
 
     b, picks, winners = pipeline(*dtypes)
