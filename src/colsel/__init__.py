@@ -35,10 +35,11 @@ _EXPORTS = {
         "reduce_phase",
     ),
     "evaluate": ("MetricUndefinedError", "evaluate_selection", "relative_accuracy"),
-    "generalized": ("generalized_init", "generalized_select"),
+    "generalized": ("generalized_init",),
     "greedy": (
         "SelectionResult",
         "SelectionState",
+        "generalized_select",
         "greedy_select",
         "init_state",
         "select_next",

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generalized import generalized_select
-from .greedy import SelectionResult, _check_budget, greedy_select
+from .greedy import SelectionResult, _check_budget, generalized_select, greedy_select
 from .linalg import _is_int_type, column_norms_sq, frobenius_sq
 from .sketch import SketchSpec, derive_seed, sample_columns, sketch_matrix
 
@@ -82,7 +81,8 @@ def hybrid_select(a: np.ndarray, l: int, probability_mode: str, seed: int) -> li
     n = a.shape[1]
     _check_budget(l, n)
     if l < 2:
-        raise ValueError("hybrid selection needs l >= 2 so the sample can exceed l")
+        raise ValueError(
+            "hybrid selection needs l >= 2: at l = 1 the ceil(l ln l) sample is empty")
     if probability_mode not in HYBRID_MODES:
         raise ValueError(
             f"unknown probability mode {probability_mode!r}, expected one of {HYBRID_MODES}"

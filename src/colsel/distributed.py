@@ -3,12 +3,13 @@
 Shaped like a map/reduce job run in-process: every partition independently
 selects columns that reconstruct the shared sketch, then a single reduce
 step selects the final columns from the union of the per-partition picks.
-Every phase takes column blocks, ``(columns, global index map)`` pairs: a
-list of them is nonempty, with one row count, one column per index and no
-index twice (:func:`linalg.check_blocks`).  The sketch sums its partial
-sketches, and both selection phases join their blocks, in list order, the
-one partition order.  Only the picked columns cross the phase boundary;
-the report tracks that data movement and the sketch broadcast cost.
+Every phase takes column blocks, ``(columns, global index map)`` pairs, as
+a :class:`Partition` and a :class:`PartitionResult` are: a list of them is
+nonempty, with one row count, one column per index and no index twice
+(:func:`linalg.check_blocks`).  The sketch sums its partial sketches, and
+both selection phases join their blocks, in list order, the one partition
+order.  Only the picked columns cross the phase boundary; the report tracks
+that data movement and the sketch broadcast cost.
 
 Both phases take the target ``b=None`` to mean that the candidates are
 their own target.  The naive baseline is the same two phases run that way:
@@ -22,6 +23,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,20 +51,18 @@ class DistributedConfig:
         return self.budget
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """One column block of the input matrix with its global index map."""
 
     matrix: np.ndarray
     global_indices: np.ndarray
 
 
-@dataclass(frozen=True)
-class PartitionResult:
-    """Columns one partition emits to the reduce phase."""
+class PartitionResult(NamedTuple):
+    """The block of columns one partition emits to the reduce phase."""
 
-    global_indices: list[int]
     columns: np.ndarray
+    global_indices: list[int]
 
 
 def partition_columns(a: np.ndarray, c: int) -> list[Partition]:
@@ -105,8 +105,8 @@ def map_phase(partition: Partition, b: np.ndarray | None, l_b: int) -> Partition
     With ``b=None`` the partition's own block is the target.  A zero or
     0-column block emits no column.
     """
-    _, picked, columns = _select_blocks([(partition.matrix, partition.global_indices)], b, l_b)
-    return PartitionResult(global_indices=picked, columns=columns)
+    _, picked, columns = _select_blocks([partition], b, l_b)
+    return PartitionResult(columns, picked)
 
 
 def reduce_phase(
@@ -120,8 +120,7 @@ def reduce_phase(
     columns come back: the union is smaller or empty, the candidates run
     out or ``b`` is already reconstructed.
     """
-    blocks = [(r.columns, r.global_indices) for r in results]
-    selection, winners, data = _select_blocks(blocks, b, l)
+    selection, winners, data = _select_blocks(results, b, l)
     return replace(selection, exhausted=len(selection.indices) < l), winners, data
 
 
@@ -162,7 +161,7 @@ def distributed_select(
     _check_budget(config.budget, a.shape[1])
     t0 = time.perf_counter()
     parts = partition_columns(a, config.partitions)
-    b = sketch_partitioned([(p.matrix, p.global_indices) for p in parts], config.sketch)
+    b = sketch_partitioned(parts, config.sketch)
     t_sketch = time.perf_counter()
 
     map_results = [map_phase(p, b, config.budget) for p in parts]

@@ -5,10 +5,10 @@ largest error decrease.  The per-candidate scores are maintained by
 rank-one recursions, so neither the residual matrix nor its inner-product
 matrix is ever materialized.
 
-This module owns the recursion for both plain and generalized selection.
-Generalized selection scores the source columns against the residual of a
-separate target; plain greedy is the case where the source is its own
-target.
+This module owns the recursion and both its entry points.  Generalized
+selection (:func:`generalized_select`) scores the source columns against
+the residual of a separate target; plain greedy (:func:`greedy_select`) is
+the case where the source is its own target.
 
 The initial scores are the squared column norms of ``C = B^T A``
 (``A^T A`` for plain greedy).  They come from ``C`` (2mnc flops) when its
@@ -440,3 +440,15 @@ def greedy_select(a: np.ndarray, l: int) -> SelectionResult:
     """
     _check_budget(l, a.shape[1])
     return _select(a, None, l)
+
+
+def generalized_select(a: np.ndarray, b: np.ndarray, l: int) -> SelectionResult:
+    """Select ``l`` columns of ``a`` that best reconstruct the columns of ``b``.
+
+    Stops early, with ``target_reconstructed`` set, once no candidate lowers
+    the error by more than 1e-12 of ``||b||_F^2``, where :func:`select_next`
+    on ``b`` raises ``ExhaustedError``: ``b`` is reconstructed, or what is
+    left of it lies outside the columns' span.
+    """
+    _check_budget(l, a.shape[1])
+    return _select(a, b, l)

@@ -37,6 +37,15 @@ RANK_TOLERANCE = 1e-12
 # below the 1e-10 relative accuracy the errors are meant to have.
 _ENERGY_TOLERANCE = 1e-11
 
+# Columns per block of the finite-entry check: its boolean mask holds one block.
+_FINITE_BLOCK = 128
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """The finite-entry rule: no NaN or Inf in the 2-D ``a``, checked in column blocks."""
+    return all(np.isfinite(a[:, j:j + _FINITE_BLOCK]).all()
+               for j in range(0, a.shape[1], _FINITE_BLOCK))
+
 
 def as_matrix(values) -> np.ndarray:
     """Validate and convert input to a float64, column-major 2-D array.
@@ -50,9 +59,10 @@ def as_matrix(values) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got {a.ndim}-D input")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be at least 1x1, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    a = np.asfortranarray(a)
+    if not all_finite(a):
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
-    return np.asfortranarray(a)
+    return a
 
 
 def _is_int_type(t: type) -> bool:

@@ -14,14 +14,10 @@ import struct
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import all_finite, as_matrix
 
 MAGIC = b"CSELMAT1"
 FORMATS = ("csv", "coordinate", "binary")
-
-# Columns per finite-value check of a binary payload, which bounds the
-# check's boolean mask to this many columns.
-_CHECK_BLOCK = 128
 
 
 class MatrixFormatError(ValueError):
@@ -125,9 +121,8 @@ def _load_binary(path) -> np.ndarray:
             size = handle.readinto(data.reshape(-1, order="F"))
     if size != expected:
         raise MatrixFormatError(path, f"payload holds {size} bytes, expected {expected}")
-    for start in range(0, n, _CHECK_BLOCK):
-        if not np.all(np.isfinite(data[:, start:start + _CHECK_BLOCK])):
-            raise MatrixFormatError(path, "payload contains non-finite values")
+    if not all_finite(data):
+        raise MatrixFormatError(path, "payload contains non-finite values")
     return data
 
 

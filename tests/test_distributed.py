@@ -20,8 +20,10 @@ from colsel import (
     reduce_phase,
     relative_accuracy,
     sketch_matrix,
+    sketch_partitioned,
 )
 from colsel.distributed import Partition, PartitionResult
+from colsel.sketch import KINDS
 from instances import lstsq_error, planted_partitioned, random_matrix, rank_two_beside_tiny
 
 
@@ -59,6 +61,25 @@ def test_pipeline_holds_no_copy_of_the_input():
         tracemalloc.stop()
     # Copied blocks alone would hold a.nbytes; the views hold nothing.
     assert peak <= 0.5 * a.nbytes
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_partitions_and_results_are_the_block_pairs_each_phase_takes(kind):
+    a = random_matrix(6, 10, seed=33)
+    parts = partition_columns(a, 3)
+    spec = SketchSpec(kind, r=10 if kind == "identity" else 4, seed=34)
+    b = sketch_partitioned(parts, spec)
+    pairs = [(p.matrix, p.global_indices) for p in parts]
+    assert b.tobytes() == sketch_partitioned(pairs, spec).tobytes()
+    mapped = [map_phase(p, b, 3) for p in parts]
+    selection, winners, data = reduce_phase(mapped, b, 3)
+    want = reduce_phase([(r.columns, r.global_indices) for r in mapped], b, 3)
+    assert (selection, winners) == want[:2] and data.tobytes() == want[2].tobytes()
+    columns = a[:, [4, 0]]
+    result = PartitionResult(columns, [4, 0])
+    assert result == PartitionResult(global_indices=[4, 0], columns=columns)
+    first, second = tuple(result)
+    assert first is columns and second == [4, 0]
 
 
 def test_partition_validation():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,8 +193,11 @@ def test_hybrid_column_norm_prefers_dominant_column():
 def test_hybrid_deterministic_and_validates():
     a = random_matrix(15, 25, seed=8)
     assert hybrid_select(a, 5, "svd-rows", seed=1) == hybrid_select(a, 5, "svd-rows", seed=1)
-    with pytest.raises(ValueError):
+    # ceil(l ln l) is 0 at l = 1, and l itself at l = 2
+    message = "hybrid selection needs l >= 2: at l = 1 the ceil(l ln l) sample is empty"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         hybrid_select(a, 1, "uniform", seed=0)
+    assert len(hybrid_select(a, 2, "uniform", seed=0)) == 2
     with pytest.raises(ValueError, match="l <= 25"):
         hybrid_select(a, 26, "uniform", seed=0)
     with pytest.raises(ValueError):

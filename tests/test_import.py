@@ -63,22 +63,27 @@ def test_names_and_submodules_resolve_on_first_use():
     assert run_fresh(code) == "ok\n"
 
 
-BASELINES = {"baselines", "cli", "generalized", "greedy", "linalg", "matrixio", "sketch"}
+BASELINES = {"baselines", "cli", "greedy", "linalg", "matrixio", "sketch"}
 
 
 @pytest.mark.parametrize("argv, modules", [
     (["select", "--l", "2"], {"cli", "greedy", "linalg", "matrixio", "sketch"}),
+    (["select-gen", "--l", "2", "--target", "target.bin"],
+     {"cli", "greedy", "linalg", "matrixio", "sketch"}),
     (["select-dist", "--l", "2", "--r", "4", "--partitions", "2"],
      {"cli", "distributed", "greedy", "linalg", "matrixio", "sketch"}),
     (["eval", "--indices", "picks.txt"], {"cli", "evaluate", "linalg", "matrixio", "sketch"}),
     (["baseline", "uniform", "--l", "2"], BASELINES),
     (["baseline", "hybrid-svd", "--l", "2"], BASELINES),
-], ids=["select", "select-dist", "eval", "baseline-uniform", "baseline-hybrid-svd"])
+], ids=["select", "select-gen", "select-dist", "eval", "baseline-uniform",
+         "baseline-hybrid-svd"])
 def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, modules):
-    colsel.save_matrix(np.random.default_rng(0).standard_normal((6, 8)), tmp_path / "mat.bin",
-                       "binary")
+    rng = np.random.default_rng(0)
+    colsel.save_matrix(rng.standard_normal((6, 8)), tmp_path / "mat.bin", "binary")
+    colsel.save_matrix(rng.standard_normal((6, 3)), tmp_path / "target.bin", "binary")
     (tmp_path / "picks.txt").write_text("0\n3\n")
-    argv = [str(tmp_path / arg) if arg == "picks.txt" else arg for arg in argv] + [
+    argv = [str(tmp_path / arg) if arg in ("picks.txt", "target.bin") else arg
+            for arg in argv] + [
         "--input", str(tmp_path / "mat.bin"), "--format", "binary",
         "--output", str(tmp_path / "out.txt")]
     # the modules the run adds to those numpy loads (numpy 1.x loads numpy.random)
@@ -95,5 +100,5 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, modules):
     assert loaded - extra == {f"colsel.{name}" for name in modules}, sorted(loaded)
     # every draw comes from the counter-based stream of colsel.sketch
     assert "numpy.random" not in loaded
-    # select derives no seed and eval only integer-labelled ones, so neither hashes a label
-    assert argv[0] not in ("select", "eval") or "hashlib" not in loaded
+    # the selects derive no seed and eval only integer-labelled ones, so none hashes a label
+    assert argv[0] not in ("select", "select-gen", "eval") or "hashlib" not in loaded

@@ -51,6 +51,23 @@ def test_as_matrix_rejects_bad_input():
     assert out.flags.f_contiguous
 
 
+def test_as_matrix_checks_entries_one_column_block_at_a_time():
+    a = random_matrix(200, 1000, seed=10)
+    tracemalloc.start()
+    try:
+        as_matrix(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the boolean mask of one 128-column block, 200 * 128 bytes; a whole
+    # mask would be 200 kB
+    assert peak <= 2 * 200 * 128
+    # the last column is in the eighth block, which is partial
+    a[-1, -1] = np.nan
+    with pytest.raises(ValueError, match=r"^matrix entries must be finite \(no NaN or Inf\)$"):
+        as_matrix(a)
+
+
 def test_project_coordinate_axes():
     eye = as_matrix(np.eye(2))
     assert_array_almost_equal(
