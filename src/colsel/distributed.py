@@ -1,20 +1,19 @@
 """Two-phase partitioned selection with a shared sketched target.
 
 Shaped like a map/reduce job run in-process: every partition independently
-selects columns that reconstruct the shared sketch, then a single reduce
-step selects the final columns from the union of the per-partition picks.
-Every phase takes column blocks, ``(columns, global index map)`` pairs, as
-a :class:`Partition` and a :class:`PartitionResult` are: a list of them is
-nonempty, with one row count, one column per index and no index twice
-(:func:`linalg.check_blocks`).  The sketch sums its partial sketches, and
-both selection phases join their blocks, in list order, the one partition
-order.  Only the picked columns cross the phase boundary; the report tracks
-that data movement and the sketch broadcast cost.
+selects columns that reconstruct the shared sketch, then a reduce step
+selects the final columns from the union of the per-partition picks.  Both
+phases are one selection over a list of column blocks, ``(columns, global
+index map)`` pairs as a :class:`Partition` and a :class:`PartitionResult`
+are (:func:`linalg.check_blocks`): :func:`reduce_phase` joins the blocks in
+list order, the one partition order, in which the sketch also sums its
+partial sketches, and the map step is that selection on one block.  Only
+the picked columns cross the phase boundary; the report tracks that data
+movement and the sketch broadcast cost.
 
-Both phases take the target ``b=None`` to mean that the candidates are
-their own target.  The naive baseline is the same two phases run that way:
-each partition approximates only its own block, and the reduce step only
-the union.
+One driver runs both the pipeline and the naive baseline, which is the two
+phases with no sketch: with the target ``b=None`` each block, and then the
+union, is its own target.
 """
 
 from __future__ import annotations
@@ -68,60 +67,48 @@ class PartitionResult(NamedTuple):
 def partition_columns(a: np.ndarray, c: int) -> list[Partition]:
     """Split the columns of ``a`` into ``c`` contiguous blocks, as views of ``a``.
 
-    The first ``n % c`` blocks hold one column more than the rest.  Other
-    layouts can be built as :class:`Partition` objects by hand.
+    The first ``n % c`` blocks hold one column more than the rest, as in
+    ``np.array_split``.  Other layouts can be built as :class:`Partition`
+    objects by hand.
     """
     n = a.shape[1]
     if not _is_int_type(type(c)) or c < 1 or c > n:
         raise ValueError(f"cannot split {n} columns into {c} partitions")
-    parts = []
-    base, extra = divmod(n, c)
-    start = 0
-    for p in range(c):
-        stop = start + base + (1 if p < extra else 0)
-        parts.append(Partition(a[:, start:stop], np.arange(start, stop)))
-        start = stop
-    return parts
-
-
-def _select_blocks(
-    blocks: list[tuple], b: np.ndarray | None, l: int
-) -> tuple[SelectionResult, list[int], np.ndarray]:
-    """Select up to ``l`` columns of the joined blocks: picks, their global indices, data."""
-    # neither phase knows the full column count, so no index or budget is too large
-    union = list(chain(*check_blocks(blocks, sys.maxsize)))
-    _check_budget(l, sys.maxsize)
-    # a lone block is selected from as it is, with no copy
-    candidates = blocks[0][0] if len(blocks) == 1 else np.asfortranarray(
-        np.concatenate([columns for columns, _ in blocks], axis=1))
-    selection = _select(candidates, b, l)
-    picked = [union[j] for j in selection.indices]
-    return selection, picked, np.asfortranarray(candidates[:, selection.indices])
+    return [Partition(a[:, ix[0]:ix[-1] + 1], ix) for ix in np.array_split(np.arange(n), c)]
 
 
 def map_phase(partition: Partition, b: np.ndarray | None, l_b: int) -> PartitionResult:
     """Select up to ``l_b`` columns of one partition against the shared target.
 
-    With ``b=None`` the partition's own block is the target.  A zero or
-    0-column block emits no column.
+    The reduce step run on the one block: :func:`reduce_phase` of
+    ``[partition]``.  With ``b=None`` the partition's own block is the
+    target.  A zero or 0-column block emits no column.
     """
-    _, picked, columns = _select_blocks([partition], b, l_b)
+    _, picked, columns = reduce_phase([partition], b, l_b)
     return PartitionResult(columns, picked)
 
 
 def reduce_phase(
-    results: list[PartitionResult], b: np.ndarray | None, l: int
+    results: list[tuple], b: np.ndarray | None, l: int
 ) -> tuple[SelectionResult, list[int], np.ndarray]:
-    """Final selection over the union of per-partition picks.
+    """The one selection of both phases: up to ``l`` columns of the blocks joined in list order.
 
-    With ``b=None`` the union itself is the target.  Returns the selection
-    over the candidates joined in list order, the winners' global indices
-    and column data.  The exhausted flag is set whenever fewer than ``l``
-    columns come back: the union is smaller or empty, the candidates run
-    out or ``b`` is already reconstructed.
+    The reduce step runs it on the map outputs, :func:`map_phase` on one
+    partition; with ``b=None`` the joined blocks are their own target.
+    Returns the selection, the winners' global indices and column data.
+    Its exhausted flag is set whenever fewer than ``l`` columns come back:
+    the blocks hold fewer, they run out or ``b`` is already reconstructed.
     """
-    selection, winners, data = _select_blocks(results, b, l)
-    return replace(selection, exhausted=len(selection.indices) < l), winners, data
+    # neither phase knows the full column count, so no index or budget is too large
+    union = list(chain(*check_blocks(results, sys.maxsize)))
+    _check_budget(l, sys.maxsize)
+    # a lone block is selected from as it is, with no copy
+    candidates = results[0][0] if len(results) == 1 else np.asfortranarray(
+        np.concatenate([columns for columns, _ in results], axis=1))
+    selection = _select(candidates, b, l)
+    winners = [union[j] for j in selection.indices]
+    data = np.asfortranarray(candidates[:, selection.indices])
+    return replace(selection, exhausted=len(winners) < l), winners, data
 
 
 @dataclass(frozen=True)
@@ -143,6 +130,25 @@ class DistributedReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
+def _run_phases(a: np.ndarray, config: DistributedConfig):
+    """The pipeline's driver: partition, sketch when ``config`` has a spec, map and reduce.
+
+    Returns the target (``None`` without a spec), the map outputs, the
+    reduce step's selection and winners, and the sketch, map and reduce times.
+    """
+    _check_budget(config.budget, a.shape[1])
+    t0 = time.perf_counter()
+    parts = partition_columns(a, config.partitions)
+    b = None if config.sketch is None else sketch_partitioned(parts, config.sketch)
+    t_sketch = time.perf_counter()
+    mapped = [map_phase(p, b, config.budget) for p in parts]
+    t_map = time.perf_counter()
+    selection, winners, _ = reduce_phase(mapped, b, config.budget)
+    timings = {"sketch": t_sketch - t0, "map": t_map - t_sketch,
+               "reduce": time.perf_counter() - t_map}
+    return b, mapped, selection, winners, timings
+
+
 def distributed_select(
     a: np.ndarray, config: DistributedConfig, threads: int | None = None
 ) -> DistributedReport:
@@ -158,46 +164,27 @@ def distributed_select(
         raise ValueError("distributed selection requires a sketch spec")
     if threads is not None and (not _is_int_type(type(threads)) or threads < 1):
         raise ValueError(f"thread count must be >= 1, got {threads}")
-    _check_budget(config.budget, a.shape[1])
     t0 = time.perf_counter()
-    parts = partition_columns(a, config.partitions)
-    b = sketch_partitioned(parts, config.sketch)
-    t_sketch = time.perf_counter()
-
-    map_results = [map_phase(p, b, config.budget) for p in parts]
-    t_map = time.perf_counter()
-
-    selection, winners, _ = reduce_phase(map_results, b, config.budget)
-    t_reduce = time.perf_counter()
-
-    columns_moved = sum(len(r.global_indices) for r in map_results)
+    b, mapped, selection, winners, timings = _run_phases(a, config)
     target_error, exact_error = _projection_errors(a, winners, [b, a])
     return DistributedReport(
         selected=winners,
         target_error=target_error,
         exact_error=exact_error,
-        columns_moved=columns_moved,
+        columns_moved=sum(len(r.global_indices) for r in mapped),
         broadcast_values=config.partitions * a.shape[0] * config.sketch.r,
         reduce_exhausted=selection.exhausted,
-        timings={
-            "sketch": t_sketch - t0,
-            "map": t_map - t_sketch,
-            "reduce": t_reduce - t_map,
-            "total": time.perf_counter() - t0,
-        },
+        timings={**timings, "total": time.perf_counter() - t0},
     )
 
 
 def naive_distributed_baseline(a: np.ndarray, config: DistributedConfig) -> list[int]:
     """Both phases without a shared target: each block and then the union is its own.
 
-    Each partition greedily approximates only its own block, which is the
-    failure mode the shared sketch avoids: locally dominant columns win
-    even when they are globally irrelevant.  A budget past the column count
-    raises ``ValueError``.
+    The pipeline's driver with the sketch left out, so each partition
+    greedily approximates only its own block, which is the failure mode
+    the shared sketch avoids: locally dominant columns win even when they
+    are globally irrelevant.  A budget past the column count raises
+    ``ValueError``.
     """
-    _check_budget(config.budget, a.shape[1])
-    parts = partition_columns(a, config.partitions)
-    mapped = [map_phase(p, None, config.budget) for p in parts]
-    _, winners, _ = reduce_phase(mapped, None, config.budget)
-    return winners
+    return _run_phases(a, replace(config, sketch=None))[3]

@@ -41,12 +41,16 @@ def test_partition_single():
     assert list(parts[0].global_indices) == list(range(8))
 
 
-def test_partition_contiguous_sizes():
-    a = random_matrix(4, 10, seed=1)
-    parts = partition_columns(a, 3)
-    assert [p.matrix.shape[1] for p in parts] == [4, 3, 3]
-    assert list(parts[1].global_indices) == [4, 5, 6]
-    assert np.array_equal(parts[1].matrix, a[:, 4:7])
+@pytest.mark.parametrize("n, c", [(10, 3), (12, 4), (7, 7), (9, 1), (1000, 7)])
+def test_partition_contiguous_sizes(n, c):
+    a = random_matrix(4, n, seed=1)
+    parts = partition_columns(a, c)
+    assert [p.matrix.shape[1] for p in parts] == [n // c + (i < n % c) for i in range(c)]
+    # contiguous maps in order, each block the view of its columns
+    assert np.array_equal(np.concatenate([p.global_indices for p in parts]), np.arange(n))
+    for p in parts:
+        assert np.array_equal(p.matrix, a[:, p.global_indices])
+        assert np.shares_memory(p.matrix, a)
 
 
 def test_pipeline_holds_no_copy_of_the_input():
@@ -365,6 +369,30 @@ def test_naive_baseline_matches_written_out_reference():
     union = np.asfortranarray(np.concatenate(union_blocks, axis=1))
     final = greedy_select(union, min(6, union.shape[1]))
     assert naive_distributed_baseline(a, cfg) == [union_globals[j] for j in final.indices]
+
+
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("kind", ["gaussian", "sign", "sparse-sign"])
+def test_pipeline_matches_written_out_reference(kind, c):
+    a = random_matrix(12, 30, seed=28)
+    cfg = DistributedConfig(partitions=c, budget=6, sketch=SketchSpec(kind, r=5, seed=29))
+    # The sketch summed in partition order, generalized selection on each
+    # block against it, then on the union of the picks against it.
+    parts = partition_columns(a, c)
+    b = sketch_partitioned(parts, cfg.sketch)
+    union_globals, union_blocks = [], []
+    for part in parts:
+        res = generalized_select(part.matrix, b, min(6, part.matrix.shape[1]))
+        union_globals.extend(int(part.global_indices[j]) for j in res.indices)
+        union_blocks.append(part.matrix[:, res.indices])
+    union = np.asfortranarray(np.concatenate(union_blocks, axis=1))
+    final = generalized_select(union, b, min(6, union.shape[1]))
+    selected = [union_globals[j] for j in final.indices]
+    report = distributed_select(a, cfg)
+    assert report.selected == selected
+    assert report.columns_moved == union.shape[1]
+    assert report.reduce_exhausted == (len(selected) < 6)
+    assert report.exact_error == reconstruction_error(a, selected)
 
 
 def test_planted_instance_distributed_beats_naive():
